@@ -7,134 +7,38 @@ sweeps decay rates.  All rates are in units of the atom-cavity coupling g;
 times are in 1/g.
 """
 
-from .config import (
-    Config,
-    ConfigError,
-    RunSettings,
-    initial_density_matrix,
-    list_presets,
-    load_config,
-    parse_config_text,
-    preset_path,
-    resolve_config,
-)
-from .dynamics import (
-    IntegrationError,
-    Trajectory,
-    compare_trajectories,
-    evolve,
-    rk4_propagator,
-)
-from .models import (
-    MasterEquationSpec,
-    ModelParams,
-    NamedState,
-    Preset,
-    Variant,
-    build_effective_bell,
-    build_effective_klm,
-    build_full_klm,
-    build_full_model,
-    build_model,
-    experimental_presets,
-    named_state,
-    target_label,
-)
-from .operators import (
-    DensityMatrixReport,
-    dagger,
-    devectorize,
-    expectation,
-    liouvillian,
-    tensor_product,
-    validate_density_matrix,
-    vectorize,
-)
-from .steady import (
-    DegenerateSteadyStateError,
-    SteadyStateNumericsError,
-    SteadyStateResult,
-    nullspace_dimension,
-    steady_state,
-)
-from .sweeps import (
-    IsoCooperativityOptimum,
-    SweepGrid,
-    cooperativity,
-    fidelity,
-    grid_sweep,
-    iso_cooperativity_optimum,
-    population,
-)
-from .zeno import (
-    DerivationError,
-    Eigenprojection,
-    ZenoDerivation,
-    compare_derivation,
-    derive_effective_model,
-    eigenprojections,
-    project_dissipators,
-    reference_model,
-    zeno_hamiltonian,
-)
+from .config import ConfigError, initial_density_matrix, list_presets, resolve_config
+from .dynamics import IntegrationError, evolve
+from .models import ModelParams, Variant, build_model, named_state, target_label
+from .operators import liouvillian
+from .steady import DegenerateSteadyStateError, SteadyStateNumericsError, steady_state
+from .sweeps import fidelity, grid_sweep, iso_cooperativity_optimum, population
+from .zeno import DerivationError, compare_derivation, derive_effective_model, reference_model
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "Config",
     "ConfigError",
     "DegenerateSteadyStateError",
-    "DensityMatrixReport",
     "DerivationError",
-    "Eigenprojection",
     "IntegrationError",
-    "IsoCooperativityOptimum",
-    "MasterEquationSpec",
     "ModelParams",
-    "NamedState",
-    "Preset",
-    "RunSettings",
     "SteadyStateNumericsError",
-    "SteadyStateResult",
-    "SweepGrid",
-    "Trajectory",
     "Variant",
-    "ZenoDerivation",
-    "build_effective_bell",
-    "build_effective_klm",
-    "build_full_klm",
-    "build_full_model",
     "build_model",
     "compare_derivation",
-    "compare_trajectories",
-    "cooperativity",
-    "dagger",
     "derive_effective_model",
-    "devectorize",
-    "eigenprojections",
     "evolve",
-    "expectation",
-    "experimental_presets",
     "fidelity",
     "grid_sweep",
     "initial_density_matrix",
     "iso_cooperativity_optimum",
-    "liouvillian",
     "list_presets",
-    "load_config",
+    "liouvillian",
     "named_state",
-    "nullspace_dimension",
-    "parse_config_text",
     "population",
-    "preset_path",
-    "project_dissipators",
     "reference_model",
     "resolve_config",
-    "rk4_propagator",
     "steady_state",
     "target_label",
-    "tensor_product",
-    "validate_density_matrix",
-    "vectorize",
-    "zeno_hamiltonian",
 ]

@@ -27,13 +27,8 @@ from .config import (
 from .dynamics import IntegrationError, evolve
 from .models import STATE_LABELS, build_model, named_state, target_label
 from .operators import operator_to_dict
-from .steady import (
-    DegenerateSteadyStateError,
-    SteadyStateNumericsError,
-    nullspace_dimension,
-    steady_state,
-)
-from .sweeps import grid_sweep, iso_cooperativity_optimum
+from .steady import DegenerateSteadyStateError, SteadyStateNumericsError, steady_state
+from .sweeps import fidelity, grid_sweep, iso_cooperativity_optimum, population
 from .zeno import DerivationError, canonical_phase, compare_derivation, derive_effective_model, reference_model
 
 EXIT_OK = 0
@@ -128,21 +123,17 @@ def cmd_steady(args) -> int:
         print("no unique steady state", file=sys.stderr)
         return EXIT_PHYSICS
 
+    states = {label: named_state(label, params) for label in STATE_LABELS}
     report = {
         "variant": params.variant.value,
         "degenerate": False,
-        "nullspace_dimension": nullspace_dimension(me),
+        "nullspace_dimension": result.nullspace_dimension,
         "method": result.method,
         "residual": result.residual,
         "clip_magnitude": result.clip_magnitude,
-        "populations": {},
-        "fidelities": {},
+        "populations": {lb: population(result.rho, st) for lb, st in states.items()},
+        "fidelities": {lb: fidelity(result.rho, st) for lb, st in states.items()},
     }
-    for label in STATE_LABELS:
-        state = named_state(label, params)
-        p = float(np.real(state.vector.conj() @ result.rho @ state.vector))
-        report["populations"][label] = p
-        report["fidelities"][label] = float(np.sqrt(max(p, 0.0)))
     for label in STATE_LABELS:
         print(f"P_{label} = {report['populations'][label]:.6f}   "
               f"F_{label} = {report['fidelities'][label]:.6f}")
@@ -155,10 +146,11 @@ def cmd_steady(args) -> int:
 
 
 def _parse_range(text: str):
-    parts = text.split(":")
-    if len(parts) != 3:
-        raise ConfigError(f"range must be lo:hi:count, got {text!r}")
-    lo, hi, count = float(parts[0]), float(parts[1]), int(parts[2])
+    try:
+        lo, hi, count = text.split(":")
+        lo, hi, count = float(lo), float(hi), int(count)
+    except ValueError:
+        raise ConfigError(f"range must be lo:hi:count, got {text!r}") from None
     if count < 1 or hi < lo:
         raise ConfigError(f"invalid range {text!r}")
     return np.linspace(lo, hi, count)
@@ -169,6 +161,12 @@ def cmd_sweep(args) -> int:
     params = config.params
     gamma_values = _parse_range(args.gamma_range)
     kappa_values = _parse_range(args.kappa_range)
+    try:
+        c_list = [float(tok) for tok in args.c_list.split(",") if tok.strip()]
+    except ValueError:
+        raise ConfigError(
+            f"--c-list must be comma-separated numbers, got {args.c_list!r}"
+        ) from None
     state = args.state or target_label(params.variant)
     grid = grid_sweep(params, gamma_values, kappa_values, state, workers=args.workers)
     prefix = args.output or Path(args.config).stem
@@ -178,7 +176,6 @@ def cmd_sweep(args) -> int:
     failed = grid.n_failed
     print(f"grid: {total} points, {failed} failed; wrote {grid_path}")
 
-    c_list = [float(tok) for tok in args.c_list.split(",") if tok.strip()] if args.c_list else []
     if c_list:
         optima = []
         for c in c_list:

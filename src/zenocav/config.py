@@ -15,7 +15,7 @@ Weights must sum to 1.  Valid labels: S, T, D, t2, g00, g01, g10, g11.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from importlib import resources
 from pathlib import Path
 
@@ -123,9 +123,25 @@ def _parse_initial_state(value, origin, line):
     return tuple(pairs)
 
 
+def _parse_value(key, value, origin, line):
+    """The typed value of one ``key = value`` pair; errors carry origin:line."""
+    if key == "variant":
+        try:
+            return Variant.parse(value)
+        except ValueError as exc:
+            raise ConfigError(str(exc), origin, line) from None
+    if key == "initial_state":
+        return _parse_initial_state(value, origin, line)
+    if key in ("n_max", "sample_stride"):
+        return _parse_int(value, key, origin, line)
+    if key in MODEL_KEYS or key in RUN_KEYS:
+        return _parse_float(value, key, origin, line)
+    raise ConfigError(f"unknown key {key!r}", origin, line)
+
+
 def parse_config_text(text: str, origin: str = "<config>") -> Config:
     """Parse configuration text; raises ConfigError with line numbers."""
-    raw = {}
+    values = {}
     lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
@@ -136,70 +152,43 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
         key, _, value = stripped.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in MODEL_KEYS and key not in RUN_KEYS:
-            raise ConfigError(f"unknown key {key!r}", origin, lineno)
-        if key in raw:
+        if key in values:
             raise ConfigError(f"duplicate key {key!r}", origin, lineno)
         if not value:
             raise ConfigError(f"empty value for {key!r}", origin, lineno)
-        raw[key] = value
+        values[key] = _parse_value(key, value, origin, lineno)
         lines[key] = lineno
 
     for key in ("omega", "omega_mw", "delta", "gamma", "kappa", "variant"):
-        if key not in raw:
+        if key not in values:
             raise ConfigError(f"missing required key {key!r}", origin)
-
     try:
-        variant = Variant.parse(raw["variant"])
-    except ValueError as exc:
-        raise ConfigError(str(exc), origin, lines["variant"]) from None
-
-    kwargs = {
-        key: _parse_float(raw[key], key, origin, lines[key])
-        for key in ("omega", "omega_mw", "delta", "gamma", "kappa")
-    }
-    if "phi" in raw:
-        kwargs["phi"] = _parse_float(raw["phi"], "phi", origin, lines["phi"])
-    if "n_max" in raw:
-        kwargs["n_max"] = _parse_int(raw["n_max"], "n_max", origin, lines["n_max"])
-    try:
-        params = ModelParams(variant=variant, **kwargs)
+        params = ModelParams(**{key: values[key] for key in MODEL_KEYS if key in values})
     except ValueError as exc:
         raise ConfigError(str(exc), origin) from None
 
     run = None
-    if "t_end" in raw or "initial_state" in raw:
+    if "t_end" in values or "initial_state" in values:
         for key in ("t_end", "initial_state"):
-            if key not in raw:
+            if key not in values:
                 raise ConfigError(
                     f"run settings need both t_end and initial_state; missing {key!r}",
                     origin,
                 )
-        t_end = _parse_float(raw["t_end"], "t_end", origin, lines["t_end"])
+        t_end = values["t_end"]
         if t_end < 0:
             raise ConfigError("t_end must be non-negative", origin, lines["t_end"])
-        default_dt = DEFAULT_DT_FULL if variant.is_full else DEFAULT_DT_EFFECTIVE
-        dt = (
-            _parse_float(raw["dt"], "dt", origin, lines["dt"])
-            if "dt" in raw
-            else default_dt
-        )
+        default_dt = DEFAULT_DT_FULL if params.variant.is_full else DEFAULT_DT_EFFECTIVE
+        dt = values.get("dt", default_dt)
         if dt <= 0:
             raise ConfigError("dt must be positive", origin, lines.get("dt"))
-        stride = (
-            _parse_int(raw["sample_stride"], "sample_stride", origin, lines["sample_stride"])
-            if "sample_stride" in raw
-            else DEFAULT_SAMPLE_STRIDE
-        )
+        stride = values.get("sample_stride", DEFAULT_SAMPLE_STRIDE)
         if stride < 1:
             raise ConfigError(
                 "sample_stride must be >= 1", origin, lines.get("sample_stride")
             )
-        initial = _parse_initial_state(
-            raw["initial_state"], origin, lines["initial_state"]
-        )
-        run = RunSettings(t_end, dt, stride, initial)
-    elif "dt" in raw or "sample_stride" in raw:
+        run = RunSettings(t_end, dt, stride, values["initial_state"])
+    elif "dt" in values or "sample_stride" in values:
         raise ConfigError(
             "dt/sample_stride given without t_end and initial_state", origin
         )
@@ -231,49 +220,24 @@ def apply_overrides(config: Config, assignments) -> Config:
     Values are parsed exactly as in the file format.  Overriding a run key
     requires the config to already define a run section.
     """
-    from dataclasses import replace
-
-    def safe_replace(obj, origin, **kw):
-        try:
-            return replace(obj, **kw)
-        except ValueError as exc:
-            raise ConfigError(str(exc), origin) from None
-
     params = config.params
     run = config.run
+    origin = f"{config.origin} (override)"
     for raw in assignments:
         if "=" not in raw:
             raise ConfigError(f"override must be key=value, got {raw!r}", config.origin)
         key, _, value = raw.partition("=")
         key = key.strip()
-        value = value.strip()
-        origin = f"{config.origin} (override)"
-        if key == "variant":
-            try:
-                params = params.with_variant(Variant.parse(value))
-            except ValueError as exc:
-                raise ConfigError(str(exc), origin) from None
-        elif key in ("omega", "omega_mw", "delta", "gamma", "kappa", "phi"):
-            params = safe_replace(params, origin, **{key: _parse_float(value, key, origin, None)})
-        elif key == "n_max":
-            params = safe_replace(params, origin, n_max=_parse_int(value, key, origin, None))
-        elif key in RUN_KEYS:
-            if run is None:
-                raise ConfigError(
-                    f"cannot override {key!r}: config has no run settings", origin
-                )
-            if key == "t_end":
-                run = safe_replace(run, origin, t_end=_parse_float(value, key, origin, None))
-            elif key == "dt":
-                run = safe_replace(run, origin, dt=_parse_float(value, key, origin, None))
-            elif key == "sample_stride":
-                run = safe_replace(run, origin, sample_stride=_parse_int(value, key, origin, None))
+        value = _parse_value(key, value.strip(), origin, None)
+        if key in RUN_KEYS and run is None:
+            raise ConfigError(f"cannot override {key!r}: config has no run settings", origin)
+        try:
+            if key in MODEL_KEYS:
+                params = replace(params, **{key: value})
             else:
-                run = safe_replace(
-                    run, origin, initial_state=_parse_initial_state(value, origin, None)
-                )
-        else:
-            raise ConfigError(f"unknown key {key!r}", origin)
+                run = replace(run, **{key: value})
+        except ValueError as exc:
+            raise ConfigError(str(exc), origin) from None
     return Config(params=params, run=run, origin=config.origin)
 
 

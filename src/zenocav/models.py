@@ -283,6 +283,17 @@ def _full_collapse_ops(p: ModelParams):
 
 
 def _build_full(p: ModelParams) -> MasterEquationSpec:
+    """Full atom-cavity model for either drive layout.
+
+    Space: atom A (3) x atom B (3) x cavity (n_max+1).  Hamiltonian: detuning
+    delta on level 1 and -delta on the cavity, and the atom-cavity coupling g
+    on the 1 <-> 2 transition.  The symmetric layout (bell_full) drives both
+    atoms with microwave mixing Omega_MW and the optical pump Omega at
+    relative phase phi; the asymmetric one (klm_full) flips the microwave
+    sign on atom B and pumps only atom A.  Collapse operators, in order: 2->0
+    and 2->1 emission on atom A, the same on atom B (each at rate gamma/2),
+    then cavity loss sqrt(kappa) a.
+    """
     h_strong, h_weak = full_hamiltonian_split(p)
     return MasterEquationSpec(
         hamiltonian=h_strong + h_weak,
@@ -292,45 +303,16 @@ def _build_full(p: ModelParams) -> MasterEquationSpec:
     )
 
 
-def build_full_model(p: ModelParams) -> MasterEquationSpec:
-    """Full atom-cavity model with the symmetric two-atom drive.
-
-    Space: atom A (3) x atom B (3) x cavity (n_max+1).  Hamiltonian: microwave
-    mixing Omega_MW on both atoms, detuning delta on level 1 and -delta on the
-    cavity, optical pump Omega on both atoms with relative phase phi, and the
-    atom-cavity coupling g on the 1 <-> 2 transition.  Collapse operators, in
-    order: 2->0 and 2->1 emission on atom A, the same on atom B (each at rate
-    gamma/2), then cavity loss sqrt(kappa) a.
-    """
-    if p.variant is not Variant.BELL_FULL:
-        raise ValueError(f"expected variant bell_full, got {p.variant.value}")
-    return _build_full(p)
-
-
-def build_full_klm(p: ModelParams) -> MasterEquationSpec:
-    """Full model with the asymmetric drive that targets the KLM state.
-
-    Same space and collapse operators as the symmetric model; the microwave
-    term carries opposite signs on the two atoms and only atom A is optically
-    pumped.
-    """
-    if p.variant is not Variant.KLM_FULL:
-        raise ValueError(f"expected variant klm_full, got {p.variant.value}")
-    return _build_full(p)
-
-
 # -- reduced five-level models -----------------------------------------------
 
 
-def build_effective_bell(p: ModelParams) -> MasterEquationSpec:
+def _build_effective_bell(p: ModelParams) -> MasterEquationSpec:
     """Reduced singlet-preparation model on {|00>, |T>, |S>, |11>, |D>}.
 
     The microwave couples |00> and |11> to the triplet at rate sqrt(2)
     Omega_MW, the drive couples |T> to |D> at rate Omega, and |D> decays at
     total rate gamma split as gamma/2 to |11> and gamma/4 to each of |T>, |S>.
     """
-    if p.variant is not Variant.BELL_EFFECTIVE:
-        raise ValueError(f"expected variant bell_effective, got {p.variant.value}")
     i00, iT, iS, i11, iD = range(5)
     h = np.zeros((5, 5), dtype=complex)
     h[i00, iT] = h[iT, i00] = SQ2 * p.omega_mw
@@ -354,15 +336,13 @@ def build_effective_bell(p: ModelParams) -> MasterEquationSpec:
     return MasterEquationSpec(h, collapse, BELL_EFFECTIVE_LABELS, p)
 
 
-def build_effective_klm(p: ModelParams) -> MasterEquationSpec:
+def _build_effective_klm(p: ModelParams) -> MasterEquationSpec:
     """Reduced KLM-preparation model on {|00>, |01>, |10>, |11>, |D>}.
 
     The microwave couples (|00>-|11>) to (|10>-|01>) at rate Omega_MW, the
     drive couples |01> to |D> at rate Omega/sqrt(2), and |D> decays at total
     rate gamma split as gamma/2 to |11> and gamma/4 to each of |10>, |01>.
     """
-    if p.variant is not Variant.KLM_EFFECTIVE:
-        raise ValueError(f"expected variant klm_effective, got {p.variant.value}")
     i00, i01, i10, i11, iD = range(5)
     h = np.zeros((5, 5), dtype=complex)
     for sign_state, sign in ((i00, 1.0), (i11, -1.0)):
@@ -390,15 +370,15 @@ def build_effective_klm(p: ModelParams) -> MasterEquationSpec:
 
 
 _BUILDERS = {
-    Variant.BELL_FULL: build_full_model,
-    Variant.BELL_EFFECTIVE: build_effective_bell,
-    Variant.KLM_FULL: build_full_klm,
-    Variant.KLM_EFFECTIVE: build_effective_klm,
+    Variant.BELL_FULL: _build_full,
+    Variant.BELL_EFFECTIVE: _build_effective_bell,
+    Variant.KLM_FULL: _build_full,
+    Variant.KLM_EFFECTIVE: _build_effective_klm,
 }
 
 
 def build_model(p: ModelParams) -> MasterEquationSpec:
-    """Dispatch to the builder for p.variant."""
+    """The master equation of the model named by p.variant."""
     return _BUILDERS[p.variant](p)
 
 
@@ -475,47 +455,3 @@ def named_state(label: str, p: ModelParams) -> NamedState:
 def target_label(variant: Variant) -> str:
     """The stabilized state for the given drive layout: S or t2."""
     return "t2" if variant.is_klm else "S"
-
-
-# -- experimental presets ------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Preset:
-    """Published cavity platform rates with the fidelities they support.
-
-    Rates are stored in units of g.  `params` carries the symmetric-drive
-    variant; use params.with_variant(Variant.KLM_FULL) for the asymmetric one.
-    Expected steady-state fidelities: fidelity_s for the singlet,
-    fidelity_t2 for the KLM state.
-    """
-
-    name: str
-    params: ModelParams
-    fidelity_s: float
-    fidelity_t2: float
-
-
-def experimental_presets():
-    """Three published (g, kappa, gamma) platforms, rates converted to g units.
-
-    All use omega = 0.01 g, omega_mw = omega / 2, delta = omega_mw.
-    """
-
-    def make(name, g_mhz, kappa_mhz, gamma_mhz, f_s, f_t2):
-        omega = 0.01
-        params = ModelParams(
-            omega=omega,
-            omega_mw=omega / 2.0,
-            delta=omega / 2.0,
-            gamma=gamma_mhz / g_mhz,
-            kappa=kappa_mhz / g_mhz,
-            variant=Variant.BELL_FULL,
-        )
-        return Preset(name, params, f_s, f_t2)
-
-    return (
-        make("fabry_perot", 770.0, 21.7, 2.6, 0.9966, 0.9975),
-        make("microresonator", 70.0, 5.0, 1.0, 0.9971, 0.9977),
-        make("high_finesse", 34.0, 4.1, 2.6, 0.9918, 0.9919),
-    )

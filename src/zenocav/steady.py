@@ -47,13 +47,19 @@ class SteadyStateNumericsError(RuntimeError):
 
 @dataclass(frozen=True)
 class SteadyStateResult:
-    """A stationary density matrix plus solve diagnostics."""
+    """A stationary density matrix plus solve diagnostics.
+
+    nullspace_dimension is 1 on the trace-replacement path, where a
+    nonsingular trace-replaced system proves the stationary state unique, and
+    the counted value on the eigenvector fallback.
+    """
 
     rho: np.ndarray
     residual: float
     method: str  # "trace_replacement" or "eigenvector"
     rcond: float
     clip_magnitude: float
+    nullspace_dimension: int
 
 
 def _reciprocal_condition(lu_pair, norm1: float) -> float:
@@ -136,8 +142,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
     system, rhs = _trace_replaced_system(liouv)
     method = "trace_replacement"
-    rho = None
-    rcond = 0.0
+    dimension = 1
     try:
         with warnings.catch_warnings():
             # An exactly singular factorization is an expected outcome here;
@@ -169,4 +174,5 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         method=method,
         rcond=rcond,
         clip_magnitude=clip_magnitude,
+        nullspace_dimension=dimension,
     )

@@ -24,8 +24,6 @@ from .models import (
     MasterEquationSpec,
     ModelParams,
     Variant,
-    build_effective_bell,
-    build_effective_klm,
     build_model,
     cavity_vacuum_projector,
     full_hamiltonian_split,
@@ -110,8 +108,9 @@ def project_dissipators(collapse_ops, zero_projector, subspace_basis):
     """Restrict collapse operators to a subspace of the zero cluster.
 
     Each operator L maps to B^dag (P L P) B with P the cluster projector and
-    B the orthonormal subspace basis (columns).  Operators of Frobenius norm
-    below DROP_TOL are dropped; order is otherwise preserved.
+    B the orthonormal subspace basis (columns).  Returns (kept, dropped):
+    the projected operators in input order, and (index, norm) for each
+    operator whose projection has Frobenius norm below DROP_TOL.
     """
     p = np.asarray(zero_projector, dtype=complex)
     basis = np.asarray(subspace_basis, dtype=complex)
@@ -124,12 +123,16 @@ def project_dissipators(collapse_ops, zero_projector, subspace_basis):
         raise ValueError("zero projector is not idempotent")
     if np.max(np.abs(p @ basis - basis)) > MEMBERSHIP_TOL:
         raise ValueError("subspace basis is not inside the projector's range")
-    projected = []
-    for op in collapse_ops:
+    kept = []
+    dropped = []
+    for idx, op in enumerate(collapse_ops):
         block = basis.conj().T @ (p @ np.asarray(op, dtype=complex) @ p) @ basis
-        if np.linalg.norm(block) >= DROP_TOL:
-            projected.append(block)
-    return projected
+        norm = float(np.linalg.norm(block))
+        if norm < DROP_TOL:
+            dropped.append((idx, norm))
+        else:
+            kept.append(block)
+    return kept, dropped
 
 
 def canonical_phase(op) -> np.ndarray:
@@ -253,15 +256,7 @@ def derive_effective_model(
     h_z = zeno_hamiltonian(h_weak, h_strong, cluster_tol)
     h_block = basis.conj().T @ h_z @ basis
 
-    kept = []
-    dropped = []
-    for idx, op in enumerate(spec.collapse_ops):
-        block = basis.conj().T @ (zero.projector @ op @ zero.projector) @ basis
-        norm = float(np.linalg.norm(block))
-        if norm < DROP_TOL:
-            dropped.append((idx, norm))
-        else:
-            kept.append(block)
+    kept, dropped = project_dissipators(spec.collapse_ops, zero.projector, basis)
 
     return ZenoDerivation(
         params=p,
@@ -285,9 +280,9 @@ def reference_model(p: ModelParams) -> MasterEquationSpec | None:
     if p.variant is Variant.BELL_FULL:
         if abs(math.remainder(p.phi - math.pi, math.tau)) > 1e-9:
             return None
-        return build_effective_bell(p.with_variant(Variant.BELL_EFFECTIVE))
+        return build_model(p.with_variant(Variant.BELL_EFFECTIVE))
     if p.variant is Variant.KLM_FULL:
-        return build_effective_klm(p.with_variant(Variant.KLM_EFFECTIVE))
+        return build_model(p.with_variant(Variant.KLM_EFFECTIVE))
     raise ValueError(f"variant {p.variant.value} is not a full model")
 
 

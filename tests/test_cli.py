@@ -185,6 +185,23 @@ def test_sweep_rejects_bad_range(tmp_path, capsys):
     assert "lo:hi:count" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--gamma-range", "a:b:2"),
+        ("--kappa-range", "0.1:0.3:two"),
+        ("--c-list", "abc"),
+    ],
+)
+def test_sweep_rejects_malformed_numbers(tmp_path, capsys, flag, value):
+    cfg = write_cfg(tmp_path, "scan.cfg", variant="bell_full", kappa=0.3)
+    argv = ["sweep", cfg, "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.3:0.3:1"]
+    assert main(argv + [flag, value]) == 2
+    assert value in capsys.readouterr().err
+    # Rejected before any solve: no grid file.
+    assert not (tmp_path / "scan_grid.csv").exists()
+
+
 def test_sweep_rejects_reduced_variant(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
     assert main(["sweep", cfg, "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.1:0.1:1"]) == 1

@@ -6,16 +6,12 @@ import pytest
 from zenocav import (
     ConfigError,
     Variant,
-    experimental_presets,
     initial_density_matrix,
     list_presets,
-    load_config,
     named_state,
-    parse_config_text,
-    preset_path,
     resolve_config,
 )
-from zenocav.config import apply_overrides
+from zenocav.config import apply_overrides, load_config, parse_config_text, preset_path
 
 MINIMAL = """
 omega = 0.1
@@ -229,23 +225,6 @@ def test_all_presets_parse():
     for name in list_presets():
         config = load_config(preset_path(name))
         assert config.params.omega > 0
-
-
-def test_platform_presets_match_catalog():
-    catalog = {p.name: p.params for p in experimental_presets()}
-    for file_name, catalog_name in (
-        ("preset1", "fabry_perot"),
-        ("preset2", "microresonator"),
-        ("preset3", "high_finesse"),
-    ):
-        config = load_config(preset_path(file_name))
-        expected = catalog[catalog_name]
-        assert config.params.gamma == pytest.approx(expected.gamma, rel=1e-12)
-        assert config.params.kappa == pytest.approx(expected.kappa, rel=1e-12)
-        assert config.params.omega == expected.omega
-        assert config.params.omega_mw == expected.omega_mw
-        assert config.params.delta == expected.delta
-        assert config.params.variant is expected.variant
 
 
 def test_transfer_preset_run_settings():

@@ -3,18 +3,10 @@ import math
 import numpy as np
 import pytest
 
-from zenocav import (
-    IntegrationError,
-    MasterEquationSpec,
-    Trajectory,
-    compare_trajectories,
-    evolve,
-    liouvillian,
-    named_state,
-    rk4_propagator,
-    vectorize,
-)
-from zenocav.models import ModelParams, Variant, build_effective_bell
+from zenocav import IntegrationError, evolve, liouvillian, named_state
+from zenocav.dynamics import Trajectory, compare_trajectories, rk4_propagator
+from zenocav.models import MasterEquationSpec, ModelParams, Variant, build_model
+from zenocav.operators import vectorize
 
 from conftest import random_density_matrix
 
@@ -193,7 +185,7 @@ def test_singlet_pumping_reaches_target():
         omega=0.1, omega_mw=0.05, delta=0.02, gamma=0.1, kappa=0.0,
         variant=Variant.BELL_EFFECTIVE,
     )
-    me = build_effective_bell(p)
+    me = build_model(p)
     rho0 = named_state("g00", p).projector
     target = named_state("S", p).projector
     traj = evolve(me, rho0, 1500.0, 0.01, [("P_S", target)], sample_stride=10000)

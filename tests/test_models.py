@@ -7,13 +7,9 @@ import pytest
 from zenocav import (
     ModelParams,
     Variant,
-    build_effective_bell,
-    build_effective_klm,
-    build_full_klm,
-    build_full_model,
     build_model,
-    experimental_presets,
     named_state,
+    resolve_config,
     target_label,
 )
 from zenocav.models import (
@@ -64,25 +60,18 @@ def test_variant_parsing_aliases():
         Variant.parse("bogus")
 
 
-def test_builders_reject_wrong_variant():
-    with pytest.raises(ValueError, match="variant"):
-        build_full_model(params(Variant.KLM_FULL))
-    with pytest.raises(ValueError, match="variant"):
-        build_effective_bell(params(Variant.BELL_FULL))
-
-
 # -- full symmetric-drive model ----------------------------------------------------
 
 
 def test_full_model_dimensions_and_hermiticity():
-    me = build_full_model(params(Variant.BELL_FULL))
+    me = build_model(params(Variant.BELL_FULL))
     assert me.dim == 27
     assert len(me.basis_labels) == 27
     assert hermiticity_defect(me.hamiltonian) <= 1e-12
 
 
 def test_cavity_absorption_matrix_element():
-    me = build_full_model(params(Variant.BELL_FULL))
+    me = build_model(params(Variant.BELL_FULL))
     # Atom A raises 1 -> 2 while absorbing the photon, at the coupling rate.
     row = full_index(2, 1, 0)
     col = full_index(1, 1, 1)
@@ -91,7 +80,7 @@ def test_cavity_absorption_matrix_element():
 
 def test_antisymmetric_pumping():
     p = params(Variant.BELL_FULL)
-    me = build_full_model(p)
+    me = build_model(p)
     dim = me.dim
     plus = np.zeros(dim, dtype=complex)
     plus[full_index(2, 0, 0)] = 1 / SQ2
@@ -107,7 +96,7 @@ def test_antisymmetric_pumping():
 
 def test_full_collapse_operator_order_and_rates():
     p = params(Variant.BELL_FULL)
-    me = build_full_model(p)
+    me = build_model(p)
     assert len(me.collapse_ops) == 5
     emission = math.sqrt(p.gamma / 2.0)
     expected = [
@@ -124,7 +113,7 @@ def test_full_collapse_operator_order_and_rates():
 def test_full_dissipator_against_direct_oracle(rng):
     from test_operators import lindblad_rhs
 
-    me = build_full_model(params(Variant.BELL_FULL))
+    me = build_model(params(Variant.BELL_FULL))
     rho = random_density_matrix(rng, me.dim)
     no_h = np.zeros_like(me.hamiltonian)
     direct = lindblad_rhs(rho, no_h, me.collapse_ops)
@@ -150,7 +139,7 @@ def test_cavity_coupling_conserves_excitation():
 def test_split_pieces_sum_to_hamiltonian():
     p = params(Variant.BELL_FULL)
     h_strong, h_weak = full_hamiltonian_split(p)
-    me = build_full_model(p)
+    me = build_model(p)
     assert np.array_equal(h_strong + h_weak, me.hamiltonian)
 
 
@@ -159,7 +148,7 @@ def test_split_pieces_sum_to_hamiltonian():
 
 def test_klm_drive_only_on_first_atom():
     p = params(Variant.KLM_FULL)
-    me = build_full_klm(p)
+    me = build_model(p)
     ground = full_index(0, 0, 0)
     assert me.hamiltonian[full_index(2, 0, 0), ground] == pytest.approx(p.omega)
     assert me.hamiltonian[full_index(0, 2, 0), ground] == 0.0
@@ -167,14 +156,14 @@ def test_klm_drive_only_on_first_atom():
 
 def test_klm_microwave_sign_difference():
     p = params(Variant.KLM_FULL)
-    me = build_full_klm(p)
+    me = build_model(p)
     ground = full_index(0, 0, 0)
     assert me.hamiltonian[full_index(1, 0, 0), ground] == pytest.approx(p.omega_mw)
     assert me.hamiltonian[full_index(0, 1, 0), ground] == pytest.approx(-p.omega_mw)
 
 
 def test_klm_full_dimensions_and_hermiticity():
-    me = build_full_klm(params(Variant.KLM_FULL))
+    me = build_model(params(Variant.KLM_FULL))
     assert me.dim == 27
     assert hermiticity_defect(me.hamiltonian) <= 1e-12
 
@@ -184,28 +173,28 @@ def test_klm_full_dimensions_and_hermiticity():
 
 def test_bell_effective_singlet_is_eigenstate():
     p = params(Variant.BELL_EFFECTIVE)
-    me = build_effective_bell(p)
+    me = build_model(p)
     s = named_state("S", p).vector
     assert np.max(np.abs(me.hamiltonian @ s - p.delta * s)) < 1e-14
 
 
 def test_bell_effective_decay_rates_sum_to_gamma():
     p = params(Variant.BELL_EFFECTIVE)
-    me = build_effective_bell(p)
+    me = build_model(p)
     total = sum(np.linalg.norm(c) ** 2 for c in me.collapse_ops)
     assert total == pytest.approx(p.gamma, abs=1e-14)
 
 
 def test_bell_effective_degenerate_dark_state():
     p = params(Variant.BELL_EFFECTIVE, delta=0.0)
-    me = build_effective_bell(p)
+    me = build_model(p)
     dark = (named_state("g00", p).vector - named_state("g11", p).vector) / SQ2
     assert np.max(np.abs(me.hamiltonian @ dark)) < 1e-14
 
 
 def test_klm_effective_dark_state_at_matched_detuning():
     p = params(Variant.KLM_EFFECTIVE, delta=0.05)  # delta = omega_mw
-    me = build_effective_klm(p)
+    me = build_model(p)
     t2 = named_state("t2", p).vector
     assert np.max(np.abs(me.hamiltonian @ t2 - p.omega_mw * t2)) < 1e-12
     # No leakage amplitude on |01> or |D>.
@@ -214,13 +203,13 @@ def test_klm_effective_dark_state_at_matched_detuning():
 
 def test_klm_effective_drive_element():
     p = params(Variant.KLM_EFFECTIVE)
-    me = build_effective_klm(p)
+    me = build_model(p)
     assert me.hamiltonian[4, 1] == pytest.approx(p.omega / SQ2)
 
 
 def test_klm_effective_decay_rates_sum_to_gamma():
     p = params(Variant.KLM_EFFECTIVE)
-    me = build_effective_klm(p)
+    me = build_model(p)
     total = sum(np.linalg.norm(c) ** 2 for c in me.collapse_ops)
     assert total == pytest.approx(p.gamma, abs=1e-14)
 
@@ -302,23 +291,24 @@ def test_target_labels():
 
 
 def test_preset_rate_conversion():
-    presets = {p.name: p for p in experimental_presets()}
+    # The bundled platform configs hold (g, kappa, gamma) in MHz as g units.
     platforms = {
-        "fabry_perot": (770.0, 21.7, 2.6),
-        "microresonator": (70.0, 5.0, 1.0),
-        "high_finesse": (34.0, 4.1, 2.6),
+        "preset1": (770.0, 21.7, 2.6),  # Fabry-Perot
+        "preset2": (70.0, 5.0, 1.0),  # microresonator
+        "preset3": (34.0, 4.1, 2.6),  # high-finesse
     }
     for name, (g_mhz, kappa_mhz, gamma_mhz) in platforms.items():
-        preset = presets[name]
-        assert preset.params.kappa == pytest.approx(kappa_mhz / g_mhz, rel=1e-12)
-        assert preset.params.gamma == pytest.approx(gamma_mhz / g_mhz, rel=1e-12)
-        assert preset.params.omega == pytest.approx(0.01)
-        assert preset.params.omega_mw == pytest.approx(0.005)
-        assert preset.params.delta == pytest.approx(0.005)
+        p = resolve_config(name).params
+        assert p.kappa == pytest.approx(kappa_mhz / g_mhz, rel=1e-12)
+        assert p.gamma == pytest.approx(gamma_mhz / g_mhz, rel=1e-12)
+        assert p.omega == pytest.approx(0.01)
+        assert p.omega_mw == pytest.approx(0.005)
+        assert p.delta == pytest.approx(0.005)
+        assert p.variant is Variant.BELL_FULL
 
 
 def test_preset_variant_switch():
-    preset = experimental_presets()[0]
-    klm = preset.params.with_variant(Variant.KLM_FULL)
+    preset = resolve_config("preset1").params
+    klm = preset.with_variant(Variant.KLM_FULL)
     assert klm.variant is Variant.KLM_FULL
-    assert klm.gamma == preset.params.gamma
+    assert klm.gamma == preset.gamma

@@ -1,25 +1,18 @@
 import numpy as np
 import pytest
 
-from zenocav import (
-    build_effective_bell,
-    build_model,
-    dagger,
-    devectorize,
-    evolve,
-    expectation,
-    initial_density_matrix,
-    liouvillian,
-    named_state,
-    tensor_product,
-    validate_density_matrix,
-    vectorize,
-)
+from zenocav import build_model, evolve, initial_density_matrix, liouvillian, named_state
 from zenocav.models import Variant
 from zenocav.operators import (
+    dagger,
+    devectorize,
+    expectation,
     hermiticity_defect,
     operator_from_dict,
     operator_to_dict,
+    tensor_product,
+    validate_density_matrix,
+    vectorize,
 )
 
 from conftest import TRANSFER_MIXTURE, random_density_matrix
@@ -232,7 +225,7 @@ def test_validate_after_million_steps(transfer_params):
     # One million fixed steps on the reduced model; the state stays physical
     # at the post-integration tolerance.
     p = transfer_params.with_variant(Variant.BELL_EFFECTIVE)
-    me = build_effective_bell(p)
+    me = build_model(p)
     rho0 = initial_density_matrix(TRANSFER_MIXTURE, p)
     traj = evolve(me, rho0, 1500.0, 0.0015, [], sample_stride=100000)
     report = validate_density_matrix(traj.final_state, 1e-6)

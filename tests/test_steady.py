@@ -6,20 +6,18 @@ import pytest
 
 from zenocav import (
     DegenerateSteadyStateError,
-    MasterEquationSpec,
     ModelParams,
     Variant,
-    build_effective_bell,
-    build_effective_klm,
-    build_full_model,
     build_model,
     evolve,
     liouvillian,
     named_state,
-    nullspace_dimension,
+    resolve_config,
     steady_state,
-    vectorize,
 )
+from zenocav.models import MasterEquationSpec
+from zenocav.operators import vectorize
+from zenocav.steady import nullspace_dimension
 
 
 def toy_model(h, collapse_ops=()):
@@ -57,7 +55,7 @@ def test_amplitude_damping_ground_state():
 
 def test_singlet_pumping_stationary_state():
     p = bell_effective_params()
-    result = steady_state(build_effective_bell(p))
+    result = steady_state(build_model(p))
     target = named_state("S", p).projector
     assert np.max(np.abs(result.rho - target)) < 1e-6
     assert result.rho[2, 2].real > 1.0 - 1e-6
@@ -67,13 +65,13 @@ def test_detuning_insensitivity_of_target():
     # The stationary state stays pinned to the singlet across a detuning range.
     for mult in (0.5, 1.0, 1.5, 2.0):
         p = bell_effective_params(delta=mult * 0.05)
-        result = steady_state(build_effective_bell(p))
+        result = steady_state(build_model(p))
         target = named_state("S", p).projector
         assert np.max(np.abs(result.rho - target)) < 1e-9
 
 
 def test_full_model_steady_population(weak_drive_params):
-    me = build_full_model(weak_drive_params)
+    me = build_model(weak_drive_params)
     result = steady_state(me)
     target = named_state("S", weak_drive_params).projector
     population = np.trace(target @ result.rho).real
@@ -86,7 +84,7 @@ def test_asymmetric_target_stationary_state():
         omega=0.05, omega_mw=0.025, delta=0.025, gamma=0.1, kappa=0.0,
         variant=Variant.KLM_EFFECTIVE,
     )
-    result = steady_state(build_effective_klm(p))
+    result = steady_state(build_model(p))
     target = named_state("t2", p).projector
     assert np.max(np.abs(result.rho - target)) < 1e-9
 
@@ -96,7 +94,7 @@ def test_asymmetric_target_stationary_state():
 
 def test_zero_detuning_is_degenerate():
     p = bell_effective_params(delta=0.0)
-    me = build_effective_bell(p)
+    me = build_model(p)
     # Two independent stationary states by direct substitution: the target
     # projector and the projector of the decoupled ground superposition.
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
@@ -126,21 +124,28 @@ def test_unitary_generator_is_degenerate():
 
 
 def test_nullspace_of_unique_case():
-    assert nullspace_dimension(damping_model(0.5)) == 1
+    models = [damping_model(0.5)] + [
+        build_model(resolve_config(name).params.with_variant(variant))
+        for name in ("preset1", "preset2", "preset3")
+        for variant in (Variant.BELL_FULL, Variant.KLM_FULL)
+    ]
+    for me in models:
+        # The solve reports the dimension that the eigenvalue count finds.
+        assert steady_state(me).nullspace_dimension == nullspace_dimension(me) == 1
 
 
 # -- numerics -----------------------------------------------------------------------
 
 
 def test_steady_state_is_stationary_under_evolution(weak_drive_params):
-    me = build_full_model(weak_drive_params)
+    me = build_model(weak_drive_params)
     result = steady_state(me)
     traj = evolve(me, result.rho, 100.0, 0.002, [], sample_stride=10 ** 9)
     assert np.max(np.abs(traj.final_state - result.rho)) < 1e-8
 
 
 def test_repaired_state_is_positive(weak_drive_params):
-    result = steady_state(build_full_model(weak_drive_params))
+    result = steady_state(build_model(weak_drive_params))
     eigvals = np.linalg.eigvalsh(result.rho)
     # Clipping reconstructs the matrix, so re-diagonalizing can leave
     # negatives at machine-epsilon scale but nothing beyond that.
@@ -154,6 +159,7 @@ def test_eigenvector_fallback_on_feeble_generator():
     # stationary state is still unique and reachable through the spectrum.
     result = steady_state(damping_model(1e-15))
     assert result.method == "eigenvector"
+    assert result.nullspace_dimension == 1
     assert np.max(np.abs(result.rho - np.diag([1.0, 0.0]))) < 1e-9
 
 
@@ -170,7 +176,7 @@ def test_truncation_insensitivity(weak_drive_params):
 
 
 def test_diagnostics_fields(weak_drive_params):
-    result = steady_state(build_full_model(weak_drive_params))
+    result = steady_state(build_model(weak_drive_params))
     assert result.method == "trace_replacement"
     assert 0.0 < result.rcond <= 1.0
     assert result.residual < 1e-9

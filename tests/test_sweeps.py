@@ -6,18 +6,14 @@ import pytest
 from zenocav import (
     DegenerateSteadyStateError,
     ModelParams,
-    SweepGrid,
     Variant,
-    cooperativity,
     fidelity,
     grid_sweep,
     iso_cooperativity_optimum,
     named_state,
     population,
-    steady_state,
 )
-from zenocav.models import build_model
-from zenocav.sweeps import _steady_population
+from zenocav.sweeps import SweepGrid, _steady_population, cooperativity
 
 from conftest import random_density_matrix
 

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from zenocav import (
-    DerivationError,
     ModelParams,
     Variant,
     compare_derivation,
     derive_effective_model,
-    eigenprojections,
     named_state,
-    project_dissipators,
     reference_model,
-    zeno_hamiltonian,
+    resolve_config,
 )
 from zenocav.models import full_hamiltonian_split
-from zenocav.zeno import canonical_phase, dissipator_superoperator
+from zenocav.zeno import (
+    canonical_phase,
+    dissipator_superoperator,
+    eigenprojections,
+    project_dissipators,
+    zeno_hamiltonian,
+)
 
 SQ2 = math.sqrt(2.0)
 
@@ -148,11 +151,21 @@ def test_projected_emission_channels(weak_drive_params):
 
 
 def test_cavity_channel_dropped(weak_drive_params):
-    derivation = derive_effective_model(weak_drive_params)
-    assert len(derivation.dropped_norms) == 1
-    index, norm = derivation.dropped_norms[0]
-    assert index == 4
-    assert norm < 1e-12
+    # The norms `derive fig3` and `derive fig4c` report: rounding noise for
+    # fig3 and an exact zero for fig4c.
+    cases = [
+        (weak_drive_params, None),
+        (resolve_config("fig3").params, 1.927504119771264e-32),
+        (resolve_config("fig4c").params, 0.0),
+    ]
+    for p, expected_norm in cases:
+        derivation = derive_effective_model(p)
+        assert len(derivation.dropped_norms) == 1
+        index, norm = derivation.dropped_norms[0]
+        assert index == 4
+        assert norm < 1e-12
+        if expected_norm is not None:
+            assert norm == pytest.approx(expected_norm, abs=1e-30)
 
 
 def test_paired_channels_merge_into_one(weak_drive_params):
@@ -185,9 +198,10 @@ def test_project_dissipators_drops_null_operator():
     basis = np.eye(3)[:, :2]
     lowering = np.zeros((3, 3))
     lowering[0, 2] = 1.0  # only touches the excluded level
-    kept = project_dissipators([lowering, np.eye(3)], projector, basis)
+    kept, dropped = project_dissipators([lowering, np.eye(3)], projector, basis)
     assert len(kept) == 1
     assert np.max(np.abs(kept[0] - np.eye(2))) < 1e-14
+    assert dropped == [(0, 0.0)]
 
 
 def test_canonical_phase_gauge_invariance(rng):
