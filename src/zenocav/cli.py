@@ -28,7 +28,7 @@ from .dynamics import IntegrationError, evolve
 from .models import STATE_LABELS, build_model, named_state, target_label
 from .operators import operator_to_dict
 from .steady import DegenerateSteadyStateError, SteadyStateNumericsError, steady_state
-from .sweeps import fidelity, grid_sweep, iso_cooperativity_optimum, population
+from .sweeps import fidelity, grid_sweep, iso_cooperativity_optimum, population, resolve_workers
 from .zeno import DerivationError, canonical_phase, compare_derivation, derive_effective_model, reference_model
 
 EXIT_OK = 0
@@ -159,16 +159,31 @@ def _parse_range(text: str):
 def cmd_sweep(args) -> int:
     config = _load(args)
     params = config.params
+    # Every input is checked here, before the first solve.
+    if not params.variant.is_full:
+        raise ConfigError(
+            f"sweep needs a full variant, got {params.variant.value}", config.origin
+        )
     gamma_values = _parse_range(args.gamma_range)
     kappa_values = _parse_range(args.kappa_range)
+    if gamma_values[0] <= 0 or kappa_values[0] < 0:
+        raise ConfigError("gamma must be positive and kappa non-negative")
     try:
         c_list = [float(tok) for tok in args.c_list.split(",") if tok.strip()]
     except ValueError:
         raise ConfigError(
             f"--c-list must be comma-separated numbers, got {args.c_list!r}"
         ) from None
+    if any(not c > 0 for c in c_list):
+        raise ConfigError(f"--c-list cooperativities must be positive, got {args.c_list!r}")
     state = args.state or target_label(params.variant)
-    grid = grid_sweep(params, gamma_values, kappa_values, state, workers=args.workers)
+    if state not in STATE_LABELS:
+        raise ConfigError(f"--state must be one of {', '.join(STATE_LABELS)}, got {state!r}")
+    try:
+        workers = resolve_workers(args.workers)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from None
+    grid = grid_sweep(params, gamma_values, kappa_values, state, workers=workers)
     prefix = args.output or Path(args.config).stem
     grid_path = Path(f"{prefix}_grid.csv")
     grid.to_csv(grid_path)
@@ -317,7 +332,6 @@ def main(argv=None) -> int:
         DegenerateSteadyStateError,
         SteadyStateNumericsError,
         DerivationError,
-        ValueError,
     ) as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_PHYSICS

@@ -269,7 +269,8 @@ def full_hamiltonian_split(p: ModelParams):
     return h_strong, h_weak
 
 
-def _full_collapse_ops(p: ModelParams):
+def full_collapse_ops(p: ModelParams):
+    """Collapse operators of a full model, in the order _build_full documents."""
     n_max = p.n_max
     emission = math.sqrt(p.gamma / 2.0)
     ops = [
@@ -297,7 +298,7 @@ def _build_full(p: ModelParams) -> MasterEquationSpec:
     h_strong, h_weak = full_hamiltonian_split(p)
     return MasterEquationSpec(
         hamiltonian=h_strong + h_weak,
-        collapse_ops=_full_collapse_ops(p),
+        collapse_ops=full_collapse_ops(p),
         basis_labels=full_basis_labels(p.n_max),
         params=p,
     )

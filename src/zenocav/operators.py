@@ -11,6 +11,8 @@ Vectorization is column stacking throughout::
     vec(A @ X @ B) = kron(B.T, A) @ vec(X)
 
 Every superoperator formula in this package follows that one convention.
+The Lindblad generator takes the non-Hermitian Hamiltonian form
+``h_nh = h - (i/2) sum_k L_k^dag L_k`` (Reiter & Sørensen, PRA 85, 032111).
 """
 
 from __future__ import annotations
@@ -78,23 +80,26 @@ def expectation(obs, rho) -> float:
 
 
 def liouvillian(h, collapse_ops=()) -> np.ndarray:
-    """Matrix form of the Lindblad generator.
+    """Matrix form of the Lindblad generator under column stacking.
 
-    Maps ``rho`` to ``-i[h, rho] + sum_k (L_k rho L_k^dag
-    - (L_k^dag L_k rho + rho L_k^dag L_k)/2)`` under column stacking.
+    Maps ``rho`` to ``-i h_nh rho + i rho h_nh^dag + sum_k L_k rho L_k^dag``
+    with ``h_nh = h - (i/2) sum_k L_k^dag L_k``: one Kronecker product per
+    collapse operator plus two for ``h_nh``.
     """
     h = _as_square(h, "hamiltonian")
     n = h.shape[0]
-    eye = np.eye(n)
-    sop = -1j * (np.kron(eye, h) - np.kron(h.T, eye))
-    for k, c in enumerate(collapse_ops):
-        c = _as_square(c, f"collapse operator {k}")
+    ops = [_as_square(c, f"collapse operator {k}") for k, c in enumerate(collapse_ops)]
+    for k, c in enumerate(ops):
         if c.shape[0] != n:
             raise ValueError(
                 f"collapse operator {k} has dim {c.shape[0]}, hamiltonian has {n}"
             )
-        cdc = c.conj().T @ c
-        sop += np.kron(c.conj(), c) - 0.5 * (np.kron(eye, cdc) + np.kron(cdc.T, eye))
+    h_nh = h - 0.5j * sum(c.conj().T @ c for c in ops)
+    eye = np.eye(n)
+    sop = np.kron(eye, -1j * h_nh)
+    sop += np.kron(1j * h_nh.conj(), eye)
+    for c in ops:
+        sop += np.kron(c.conj(), c)
     return sop
 
 

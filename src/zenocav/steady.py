@@ -74,7 +74,8 @@ def _reciprocal_condition(lu_pair, norm1: float) -> float:
 def _trace_replaced_system(liouv: np.ndarray):
     n2 = liouv.shape[0]
     dim = int(round(np.sqrt(n2)))
-    system = liouv.copy()
+    # Fortran order lets the LU factor this copy in place.
+    system = liouv.copy(order="F")
     # Replace the equation for the (0,0) element with the trace constraint;
     # diagonal elements sit at stride dim+1 under column stacking.
     system[0, :] = 0.0
@@ -143,13 +144,15 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     system, rhs = _trace_replaced_system(liouv)
     method = "trace_replacement"
     dimension = 1
+    # The factorization overwrites the system, so take its norm first.
+    norm1 = float(np.linalg.norm(system, 1))
     try:
         with warnings.catch_warnings():
             # An exactly singular factorization is an expected outcome here;
             # it routes to the degeneracy check below.
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu_pair = lu_factor(system)
-        rcond = _reciprocal_condition(lu_pair, float(np.linalg.norm(system, 1)))
+            lu_pair = lu_factor(system, overwrite_a=True)
+        rcond = _reciprocal_condition(lu_pair, norm1)
     except np.linalg.LinAlgError:
         rcond = 0.0
     if rcond < RCOND_TOL:

@@ -112,13 +112,12 @@ def _solve_grid_point(task):
         return index, math.nan, str(exc)
 
 
-def _resolve_workers(workers) -> int:
-    if workers is None:
-        workers = os.environ.get(WORKERS_ENV, "1")
-    workers = int(workers)
-    if workers < 1:
-        raise ValueError(f"workers must be >= 1, got {workers}")
-    return workers
+def resolve_workers(workers=None) -> int:
+    """The worker count: workers, else ZENOCAV_WORKERS, else 1; at least 1."""
+    text = str(os.environ.get(WORKERS_ENV, "1") if workers is None else workers)
+    if not text.strip().isdigit() or int(text) < 1:
+        raise ValueError(f"workers (or {WORKERS_ENV}) must be an integer >= 1, got {text!r}")
+    return int(text)
 
 
 def grid_sweep(
@@ -148,7 +147,7 @@ def grid_sweep(
             params = replace(base, gamma=float(gamma), kappa=float(kappa))
             tasks.append(((i, j), params, state_label))
 
-    workers = _resolve_workers(workers)
+    workers = resolve_workers(workers)
     values = np.full((len(gamma_values), len(kappa_values)), math.nan)
     failures = []
     if workers == 1:

@@ -26,6 +26,7 @@ from .models import (
     Variant,
     build_model,
     cavity_vacuum_projector,
+    full_collapse_ops,
     full_hamiltonian_split,
     named_state,
 )
@@ -152,11 +153,6 @@ def canonical_phase(op) -> np.ndarray:
     return op * (abs(pivot) / pivot)
 
 
-def dissipator_superoperator(collapse_ops, dim: int) -> np.ndarray:
-    """Superoperator of the dissipative part alone (no Hamiltonian)."""
-    return liouvillian(np.zeros((dim, dim)), collapse_ops)
-
-
 # Embedding of the reduced bases into the full space: named-state labels in
 # the exact column order of the reduced models.
 _EMBEDDING_LABELS = {
@@ -194,11 +190,6 @@ class ZenoDerivation:
         }
 
 
-def _zero_cluster(projections) -> Eigenprojection:
-    zero = min(projections, key=lambda proj: abs(proj.eigenvalue))
-    return zero
-
-
 def _intersect_with_vacuum(zero_proj: np.ndarray, vac_proj: np.ndarray) -> np.ndarray:
     """Orthonormal basis of range(zero_proj) ∩ range(vac_proj), as columns."""
     # Within the cluster's own coordinates, vectors fixed by the vacuum
@@ -222,10 +213,9 @@ def derive_effective_model(
     """
     if not p.variant.is_full:
         raise ValueError(f"variant {p.variant.value} is not a full model")
-    spec = build_model(p)
     h_strong, h_weak = full_hamiltonian_split(p)
     projections = eigenprojections(h_strong, cluster_tol)
-    zero = _zero_cluster(projections)
+    zero = min(projections, key=lambda proj: abs(proj.eigenvalue))
     if abs(zero.eigenvalue) > default_cluster_tol(h_strong):
         raise DerivationError(
             f"no zero eigenvalue cluster; closest is {zero.eigenvalue:.3e}"
@@ -256,7 +246,7 @@ def derive_effective_model(
     h_z = zeno_hamiltonian(h_weak, h_strong, cluster_tol)
     h_block = basis.conj().T @ h_z @ basis
 
-    kept, dropped = project_dissipators(spec.collapse_ops, zero.projector, basis)
+    kept, dropped = project_dissipators(full_collapse_ops(p), zero.projector, basis)
 
     return ZenoDerivation(
         params=p,
@@ -310,8 +300,8 @@ def compare_derivation(
     object.
     """
     h_dev = float(np.max(np.abs(derivation.hamiltonian - reference.hamiltonian)))
-    dim = reference.dim
-    diss_derived = dissipator_superoperator(derivation.collapse_ops, dim)
-    diss_reference = dissipator_superoperator(reference.collapse_ops, dim)
+    zero = np.zeros_like(reference.hamiltonian)
+    diss_derived = liouvillian(zero, derivation.collapse_ops)
+    diss_reference = liouvillian(zero, reference.collapse_ops)
     d_dev = float(np.max(np.abs(diss_derived - diss_reference)))
     return DerivationComparison(h_dev, d_dev)

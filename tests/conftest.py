@@ -1,7 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from zenocav import ModelParams, Variant
+
+# Property tests draw the same examples on every run, with no per-example
+# deadline: the suite runs on shared hosts where timing jitter is large.
+settings.register_profile("deterministic", derandomize=True, deadline=None, database=None)
+settings.load_profile("deterministic")
 
 # Mixed initial state used by the population-transfer runs.
 TRANSFER_MIXTURE = (("g00", 0.3), ("g11", 0.15), ("g10", 0.45), ("g01", 0.1))
@@ -43,3 +51,18 @@ def random_density_matrix(rng, dim: int) -> np.ndarray:
     a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     rho = a @ a.conj().T
     return rho / np.trace(rho).real
+
+
+def traced_peak(func, *args):
+    """Call func(*args); return its result and the tracemalloc peak in bytes.
+
+    numpy reports its array buffers to tracemalloc, so the peak counts every
+    array alive at once during the call, the result included.
+    """
+    tracemalloc.start()
+    try:
+        result = func(*args)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return result, peak

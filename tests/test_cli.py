@@ -204,8 +204,34 @@ def test_sweep_rejects_malformed_numbers(tmp_path, capsys, flag, value):
 
 def test_sweep_rejects_reduced_variant(tmp_path, capsys):
     cfg = write_cfg(tmp_path)
-    assert main(["sweep", cfg, "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.1:0.1:1"]) == 1
+    assert main(["sweep", cfg, "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.1:0.1:1"]) == 2
     assert "full" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "extra, workers_env, message",
+    [
+        (["--state", "bogus"], None, "bogus"),
+        (["--workers", "0"], None, "workers"),
+        (["--c-list", "-1"], None, "-1"),
+        (["--gamma-range", "0:0.2:2"], None, "gamma must be positive"),
+        (["--set", "variant=bell_effective"], None, "full variant"),
+        ([], "0", "ZENOCAV_WORKERS"),
+        ([], "two", "ZENOCAV_WORKERS"),
+    ],
+    ids=["state", "workers", "c-list", "gamma-range", "variant", "env-zero", "env-text"],
+)
+def test_sweep_config_mistakes_exit_before_solving(
+    tmp_path, capsys, monkeypatch, extra, workers_env, message
+):
+    if workers_env is not None:
+        monkeypatch.setenv("ZENOCAV_WORKERS", workers_env)
+    cfg = write_cfg(tmp_path, "scan.cfg", variant="bell_full", kappa=0.3)
+    argv = ["sweep", cfg, "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.3:0.3:1"]
+    assert main(argv + extra) == 2
+    assert message in capsys.readouterr().err
+    # Rejected before any solve: no grid file.
+    assert not (tmp_path / "scan_grid.csv").exists()
 
 
 # -- derive -------------------------------------------------------------------------

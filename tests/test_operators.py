@@ -1,7 +1,19 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
-from zenocav import build_model, evolve, initial_density_matrix, liouvillian, named_state
+from zenocav import (
+    build_model,
+    evolve,
+    initial_density_matrix,
+    liouvillian,
+    named_state,
+    resolve_config,
+)
 from zenocav.models import Variant
 from zenocav.operators import (
     dagger,
@@ -15,7 +27,7 @@ from zenocav.operators import (
     vectorize,
 )
 
-from conftest import TRANSFER_MIXTURE, random_density_matrix
+from conftest import TRANSFER_MIXTURE, random_density_matrix, traced_peak
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -180,6 +192,41 @@ def test_closed_system_spectrum_imaginary(rng):
 def test_liouvillian_dimension_mismatch():
     with pytest.raises(ValueError, match="dim"):
         liouvillian(np.eye(3), [np.eye(2)])
+
+
+@st.composite
+def open_systems(draw):
+    """A Hermitian h, 0-3 complex collapse operators and a test matrix x."""
+    dim = draw(st.integers(1, 5))
+    entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    square = hnp.arrays(complex, (dim, dim), elements=entries)
+    a = draw(square)
+    return a + a.conj().T, draw(st.lists(square, max_size=3)), draw(square)
+
+
+@given(open_systems())
+def test_liouvillian_properties(system):
+    h, collapse_ops, x = system
+    sop = liouvillian(h, collapse_ops)
+    scale = 1.0 + np.abs(h).sum() + sum(np.abs(c).sum() ** 2 for c in collapse_ops)
+    tol = 1e-12 * scale
+    image = devectorize(sop @ vectorize(x))
+    direct = lindblad_rhs(x, h, collapse_ops)
+    assert np.max(np.abs(image - direct)) <= tol * (1.0 + np.abs(x).max())
+    trace_row = vectorize(np.eye(h.shape[0])).conj() @ sop
+    assert np.max(np.abs(trace_row)) <= tol
+    herm = x + x.conj().T
+    herm_image = devectorize(sop @ vectorize(herm))
+    assert hermiticity_defect(herm_image) <= tol * (1.0 + np.abs(herm).max())
+
+
+def test_liouvillian_holds_one_temporary():
+    # At most the result plus one Kronecker product are alive at once.
+    params = replace(resolve_config("preset1").params, n_max=3)
+    me = build_model(params)
+    sop, peak = traced_peak(liouvillian, me.hamiltonian, me.collapse_ops)
+    assert sop.shape == (me.dim**2, me.dim**2)
+    assert peak <= 2.5 * sop.nbytes
 
 
 # -- vectorize / devectorize ---------------------------------------------------

@@ -19,6 +19,8 @@ from zenocav.models import MasterEquationSpec
 from zenocav.operators import vectorize
 from zenocav.steady import nullspace_dimension
 
+from conftest import traced_peak
+
 
 def toy_model(h, collapse_ops=()):
     dim = np.asarray(h).shape[0]
@@ -181,3 +183,13 @@ def test_diagnostics_fields(weak_drive_params):
     assert 0.0 < result.rcond <= 1.0
     assert result.residual < 1e-9
     assert result.clip_magnitude >= 0.0
+
+
+def test_steady_state_memory_peak():
+    # The generator and one factor buffer, plus the real |system| temporary
+    # of the 1-norm: 2.5 generator sizes, bounded by 3.
+    params = replace(resolve_config("preset1").params, n_max=3)
+    me = build_model(params)
+    result, peak = traced_peak(steady_state, me)
+    assert result.method == "trace_replacement"
+    assert peak <= 3 * me.dim**4 * 16

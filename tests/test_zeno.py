@@ -8,6 +8,7 @@ from zenocav import (
     Variant,
     compare_derivation,
     derive_effective_model,
+    liouvillian,
     named_state,
     reference_model,
     resolve_config,
@@ -15,7 +16,6 @@ from zenocav import (
 from zenocav.models import full_hamiltonian_split
 from zenocav.zeno import (
     canonical_phase,
-    dissipator_superoperator,
     eigenprojections,
     project_dissipators,
     zeno_hamiltonian,
@@ -174,8 +174,9 @@ def test_paired_channels_merge_into_one(weak_drive_params):
     pair = [derivation.collapse_ops[1], derivation.collapse_ops[3]]
     merged = np.zeros((5, 5), dtype=complex)
     merged[3, 4] = math.sqrt(p.gamma / 2.0)
-    d_pair = dissipator_superoperator(pair, 5)
-    d_merged = dissipator_superoperator([merged], 5)
+    zero = np.zeros((5, 5))
+    d_pair = liouvillian(zero, pair)
+    d_merged = liouvillian(zero, [merged])
     assert np.max(np.abs(d_pair - d_merged)) < 1e-12
 
 
@@ -272,3 +273,18 @@ def test_derivation_cluster_spectrum(weak_drive_params):
     ordered = np.sort(eigenvalues)
     assert np.max(np.abs(ordered + ordered[::-1])) < 1e-10
     assert sum(derivation.cluster_ranks) == 27
+
+
+def test_derivation_does_not_build_the_full_model(weak_drive_params, monkeypatch):
+    # The Hamiltonian split and the collapse operators are all a derivation
+    # needs; assembling the whole full model again would be wasted work.
+    import zenocav.zeno
+
+    def refuse(p):
+        raise AssertionError(f"build_model called for {p.variant.value}")
+
+    expected = derive_effective_model(weak_drive_params)
+    monkeypatch.setattr(zenocav.zeno, "build_model", refuse)
+    derivation = derive_effective_model(weak_drive_params)
+    assert np.array_equal(derivation.hamiltonian, expected.hamiltonian)
+    assert derivation.dropped_norms == expected.dropped_norms
