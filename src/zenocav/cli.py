@@ -200,6 +200,9 @@ def cmd_sweep(args) -> int:
                 f"C={c:g}: best P_{state} = {opt.population:.4f} "
                 f"at gamma={opt.gamma:.4f}, kappa={opt.kappa:.4f}"
             )
+            if opt.at_boundary:
+                print(f"C={c:g}: note: gamma is at the edge of the search domain; "
+                      "the maximum may lie outside it")
         optima_path = Path(f"{prefix}_optima.json")
         _json_dump({"state": state, "optima": optima}, optima_path)
         print(f"wrote {optima_path}")

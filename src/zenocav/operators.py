@@ -83,8 +83,12 @@ def liouvillian(h, collapse_ops=()) -> np.ndarray:
     """Matrix form of the Lindblad generator under column stacking.
 
     Maps ``rho`` to ``-i h_nh rho + i rho h_nh^dag + sum_k L_k rho L_k^dag``
-    with ``h_nh = h - (i/2) sum_k L_k^dag L_k``: one Kronecker product per
-    collapse operator plus two for ``h_nh``.
+    with ``h_nh = h - (i/2) sum_k L_k^dag L_k``, i.e. the sum
+    ``kron(I, -i h_nh) + kron(i conj(h_nh), I) + sum_k kron(conj(L_k), L_k)``.
+    The terms are written straight into one zeroed result through its
+    4-index view ``s4[i, k, j, l] = sop[i*n + k, j*n + l]``: the identity
+    factors touch only ``n**3`` entries each, and each channel's product only
+    the pairs of its nonzeros.
     """
     h = _as_square(h, "hamiltonian")
     n = h.shape[0]
@@ -95,11 +99,19 @@ def liouvillian(h, collapse_ops=()) -> np.ndarray:
                 f"collapse operator {k} has dim {c.shape[0]}, hamiltonian has {n}"
             )
     h_nh = h - 0.5j * sum(c.conj().T @ c for c in ops)
-    eye = np.eye(n)
-    sop = np.kron(eye, -1j * h_nh)
-    sop += np.kron(1j * h_nh.conj(), eye)
+    sop = np.zeros((n * n, n * n), dtype=complex)
+    s4 = sop.reshape(n, n, n, n)
+    idx = np.arange(n)
+    s4[idx, :, idx, :] = -1j * h_nh
+    s4[:, idx, :, idx] += 1j * h_nh.conj()
+    flat = sop.reshape(-1)
     for c in ops:
-        sop += np.kron(c.conj(), c)
+        rows, cols = np.nonzero(c)
+        vals = c[rows, cols]
+        # Entry (r1*n + r2, s1*n + s2) of the product is conj(c[r1, s1]) c[r2, s2];
+        # distinct nonzero pairs land on distinct entries.
+        target = ((rows[:, None] * n + rows) * n + cols[:, None]) * n + cols
+        flat[target.ravel()] += (vals.conj()[:, None] * vals).ravel()
     return sop
 
 

@@ -1,14 +1,20 @@
 """Stationary states of master equations and degeneracy diagnostics.
 
-The stationary state solves L vec(rho) = 0 with Tr rho = 1.  The dimensions
-here are small (Liouvillians up to about 1300 square), so a direct LU solve
-of the trace-replaced system is the workhorse; a reciprocal-condition
-estimate on the factorization flags degenerate generators without paying for
-an eigendecomposition at every call.
+The stationary state solves L vec(rho) = 0 with Tr rho = 1.  The generator
+is dense (up to 2916 square at n_max = 5), and a direct LU solve is the
+workhorse.  Because L maps Hermitian matrices to Hermitian ones, it is
+solved in real coordinates: the orthonormal basis rho_ii, sqrt2 Re rho_ij,
+sqrt2 Im rho_ij (i < j) turns L into a real matrix of the same size, whose
+LU costs about a quarter of the complex one.  The equation for rho_00 is
+replaced by the trace constraint.  A reciprocal-condition estimate on the
+factorization flags degenerate generators without paying for an
+eigendecomposition at every call; the residual is always checked on the
+complex generator.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 
@@ -29,6 +35,8 @@ NULLSPACE_TOL_SCALE = 1e-10
 CLIP_LIMIT = PHYSICAL_TOL
 # Returned states must satisfy the stationarity equation this tightly.
 RESIDUAL_LIMIT = 1e-9
+
+_SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -51,7 +59,9 @@ class SteadyStateResult:
 
     nullspace_dimension is 1 on the trace-replacement path, where a
     nonsingular trace-replaced system proves the stationary state unique, and
-    the counted value on the eigenvector fallback.
+    the counted value on the eigenvector fallback.  rcond is the 1-norm
+    reciprocal condition estimate of the real Hermitian-coordinate system,
+    not of the complex generator.
     """
 
     rho: np.ndarray
@@ -63,26 +73,78 @@ class SteadyStateResult:
 
 
 def _reciprocal_condition(lu_pair, norm1: float) -> float:
+    # lu_pair factors M^T, whose infinity norms are the 1-norms of M.
     lu, _ = lu_pair
     (gecon,) = get_lapack_funcs(("gecon",), (lu,))
-    rcond, info = gecon(lu, norm1, norm="1")
+    rcond, info = gecon(lu, norm1, norm="I")
     if info != 0:
         raise SteadyStateNumericsError(f"condition estimate failed (info={info})")
     return float(rcond)
 
 
-def _trace_replaced_system(liouv: np.ndarray):
+def _hermitian_coordinates(dim: int):
+    """Column-stacked positions of the diagonal and of the pairs i < j.
+
+    Pairs run over j, then i, so the equations for rho_0j .. rho_jj are the
+    contiguous generator rows j*dim .. j*dim + j.
+    """
+    j, i = np.tril_indices(dim, -1)
+    return np.arange(dim) * (dim + 1), i + j * dim, j + i * dim
+
+
+def _hermitian_system(liouv: np.ndarray) -> np.ndarray:
+    """The generator in real Hermitian coordinates, trace row first.
+
+    The coordinates of rho are [rho_ii | sqrt2 Re rho_ij | sqrt2 Im rho_ij]
+    over i < j, an orthonormal real basis of the Hermitian matrices, so the
+    system is M = U^dag L U.  M is real because L maps Hermitian matrices to
+    Hermitian ones; the equation for rho_ji is the conjugate of the one for
+    rho_ij, so only the rows for i <= j are read.  The (0,0) equation is
+    replaced by the trace constraint.  M is filled row by row in C order,
+    which LAPACK reads as the Fortran-ordered M^T.
+    """
     n2 = liouv.shape[0]
-    dim = int(round(np.sqrt(n2)))
-    # Fortran order lets the LU factor this copy in place.
-    system = liouv.copy(order="F")
-    # Replace the equation for the (0,0) element with the trace constraint;
-    # diagonal elements sit at stride dim+1 under column stacking.
+    dim = math.isqrt(n2)
+    diag, upper, lower = _hermitian_coordinates(dim)
+    re0 = dim
+    im0 = dim + upper.size
+    system = np.empty((n2, n2))
     system[0, :] = 0.0
-    system[0, np.arange(dim) * (dim + 1)] = 1.0
-    rhs = np.zeros(n2, dtype=complex)
-    rhs[0] = 1.0
-    return system, rhs
+    system[0, :dim] = 1.0
+    for j in range(1, dim):
+        rows = liouv[j * dim : j * dim + j + 1]
+        xd = rows[:, diag]
+        xu = rows[:, upper]
+        xl = rows[:, lower]
+        # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.
+        xs = xu + xl
+        xu -= xl
+        system[j, :re0] = xd[j].real
+        system[j, re0:im0] = xs[j].real / _SQRT2
+        system[j, im0:] = xu[j].imag / -_SQRT2
+        # Rows of U^dag: sqrt2 Re and sqrt2 Im of each equation rho_ij, i < j.
+        pairs = j * (j - 1) // 2
+        re_rows = slice(re0 + pairs, re0 + pairs + j)
+        im_rows = slice(im0 + pairs, im0 + pairs + j)
+        system[re_rows, :re0] = xd[:j].real * _SQRT2
+        system[re_rows, re0:im0] = xs[:j].real
+        system[re_rows, im0:] = -xu[:j].imag
+        system[im_rows, :re0] = xd[:j].imag * _SQRT2
+        system[im_rows, re0:im0] = xs[:j].imag
+        system[im_rows, im0:] = xu[:j].real
+    return system
+
+
+def _from_hermitian(x: np.ndarray) -> np.ndarray:
+    """The density matrix with Hermitian coordinates x."""
+    dim = math.isqrt(x.size)
+    diag, upper, lower = _hermitian_coordinates(dim)
+    rho = np.empty(x.size, dtype=complex)
+    rho[diag] = x[:dim]
+    pairs = (x[dim : dim + upper.size] + 1j * x[dim + upper.size :]) / _SQRT2
+    rho[upper] = pairs
+    rho[lower] = pairs.conj()
+    return devectorize(rho)
 
 
 def _repair_positivity(rho: np.ndarray):
@@ -103,8 +165,24 @@ def _repair_positivity(rho: np.ndarray):
     return rho, clip_magnitude
 
 
+def _nullspace_count(eigvals: np.ndarray, norm1: float, tol: float | None = None) -> int:
+    """Eigenvalues within tol of zero; every one of them for a zero generator.
+
+    tol defaults to NULLSPACE_TOL_SCALE times the generator's 1-norm.
+    """
+    if norm1 == 0.0:
+        return eigvals.size
+    if tol is None:
+        tol = NULLSPACE_TOL_SCALE * norm1
+    return int(np.sum(np.abs(eigvals) < tol))
+
+
 def _eigenvector_solve(liouv: np.ndarray):
+    """Nullspace count and slowest-eigenvector state from one eigendecomposition."""
     eigvals, eigvecs = np.linalg.eig(liouv)
+    dimension = _nullspace_count(eigvals, float(np.linalg.norm(liouv, 1)))
+    if dimension >= 2:
+        raise DegenerateSteadyStateError(dimension)
     idx = int(np.argmin(np.abs(eigvals)))
     rho = devectorize(eigvecs[:, idx])
     trace = np.trace(rho)
@@ -112,7 +190,7 @@ def _eigenvector_solve(liouv: np.ndarray):
         raise SteadyStateNumericsError(
             "slowest eigenvector is traceless; cannot normalize to a state"
         )
-    return rho / trace
+    return rho / trace, dimension
 
 
 def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int:
@@ -122,47 +200,45 @@ def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int
     (no Hamiltonian, no dissipation) fixes every state: returns dim**2.
     """
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    norm1 = float(np.linalg.norm(liouv, 1))
-    if norm1 == 0.0:
-        return liouv.shape[0]
-    if tol is None:
-        tol = NULLSPACE_TOL_SCALE * norm1
-    eigvals = np.linalg.eigvals(liouv)
-    return int(np.sum(np.abs(eigvals) < tol))
+    return _nullspace_count(np.linalg.eigvals(liouv), float(np.linalg.norm(liouv, 1)), tol)
 
 
 def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     """Solve for the unique stationary density matrix.
 
-    Solves the trace-replaced linear system by LU factorization.  A tiny
-    reciprocal condition number triggers a nullspace count: dimension >= 2
-    raises DegenerateSteadyStateError; a unique but ill-conditioned case
-    falls back to the slowest eigenvector of the generator.  The returned
-    residual is the max-norm of L vec(rho) for the state actually returned.
+    Solves the trace-replaced system in real Hermitian coordinates by LU
+    factorization.  A tiny reciprocal condition number triggers one
+    eigendecomposition of the generator: nullspace dimension >= 2 raises
+    DegenerateSteadyStateError; a unique but ill-conditioned case falls back
+    to the slowest eigenvector.  The returned residual is the max-norm of
+    L vec(rho) on the complex generator, for the state actually returned.
     """
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    system, rhs = _trace_replaced_system(liouv)
+    # M is C-ordered, so its transpose is the Fortran-ordered array LAPACK
+    # factors in place.  The factorization overwrites it, so take the norm
+    # first: ||M||_1 = ||M^T||_inf.
+    system_t = _hermitian_system(liouv).T
     method = "trace_replacement"
     dimension = 1
-    # The factorization overwrites the system, so take its norm first.
-    norm1 = float(np.linalg.norm(system, 1))
+    (lange,) = get_lapack_funcs(("lange",), (system_t,))
+    norm1 = float(lange("I", system_t))
     try:
         with warnings.catch_warnings():
             # An exactly singular factorization is an expected outcome here;
             # it routes to the degeneracy check below.
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu_pair = lu_factor(system, overwrite_a=True)
+            lu_pair = lu_factor(system_t, overwrite_a=True)
         rcond = _reciprocal_condition(lu_pair, norm1)
     except np.linalg.LinAlgError:
         rcond = 0.0
     if rcond < RCOND_TOL:
-        dimension = nullspace_dimension(me)
-        if dimension >= 2:
-            raise DegenerateSteadyStateError(dimension)
         method = "eigenvector"
-        rho = _eigenvector_solve(liouv)
+        rho, dimension = _eigenvector_solve(liouv)
     else:
-        rho = devectorize(lu_solve(lu_pair, rhs))
+        rhs = np.zeros(system_t.shape[0])
+        rhs[0] = 1.0
+        # trans=1 solves with (M^T)^T = M.
+        rho = _from_hermitian(lu_solve(lu_pair, rhs, trans=1))
 
     rho, clip_magnitude = _repair_positivity(rho)
     residual = float(np.max(np.abs(liouv @ rho.flatten(order="F"))))

@@ -191,12 +191,17 @@ def grid_sweep(
 
 @dataclass(frozen=True)
 class IsoCooperativityOptimum:
-    """Best stationary population along one iso-cooperativity curve."""
+    """Best stationary population along one iso-cooperativity curve.
+
+    at_boundary is true when gamma lies within GAMMA_SEARCH_TOL of either end
+    of the searched domain: the maximum may lie outside it.
+    """
 
     cooperativity: float
     gamma: float
     kappa: float
     population: float
+    at_boundary: bool
 
     def to_dict(self) -> dict:
         return {
@@ -204,6 +209,7 @@ class IsoCooperativityOptimum:
             "gamma": self.gamma,
             "kappa": self.kappa,
             "population": self.population,
+            "at_boundary": self.at_boundary,
         }
 
 
@@ -269,4 +275,7 @@ def iso_cooperativity_optimum(
         gamma=float(gamma_best),
         kappa=float(base.g**2 / (c * gamma_best)),
         population=float(best_value),
+        at_boundary=bool(
+            gamma_best <= lo + GAMMA_SEARCH_TOL or gamma_best >= hi - GAMMA_SEARCH_TOL
+        ),
     )

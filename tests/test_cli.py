@@ -176,7 +176,10 @@ def test_sweep_optima_output(tmp_path, capsys):
     (optimum,) = payload["optima"]
     assert optimum["cooperativity"] == 50.0
     assert optimum["kappa"] * optimum["gamma"] * 50.0 == pytest.approx(1.0)
-    assert "C=50" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "C=50" in out
+    # The edge note prints exactly when the optimum is flagged.
+    assert ("edge of the search domain" in out) is optimum["at_boundary"]
 
 
 def test_sweep_rejects_bad_range(tmp_path, capsys):

@@ -12,8 +12,9 @@ from zenocav import (
     iso_cooperativity_optimum,
     named_state,
     population,
+    resolve_config,
 )
-from zenocav.sweeps import SweepGrid, _steady_population, cooperativity
+from zenocav.sweeps import GAMMA_SEARCH_TOL, SweepGrid, _steady_population, cooperativity
 
 from conftest import random_density_matrix
 
@@ -207,5 +208,19 @@ def test_optimum_input_validation(weak_drive_params):
 def test_optimum_serializes(weak_drive_params):
     optimum = iso_cooperativity_optimum(weak_drive_params, 50.0)
     payload = optimum.to_dict()
-    assert set(payload) == {"cooperativity", "gamma", "kappa", "population"}
+    assert set(payload) == {"cooperativity", "gamma", "kappa", "population", "at_boundary"}
     assert payload["population"] == optimum.population
+    assert payload["at_boundary"] is optimum.at_boundary
+
+
+def test_optimum_reports_domain_boundary():
+    # On the default domain the fig3 optimum sits on the upper edge; a wider
+    # domain holds the maximum inside, and it is higher.
+    base = resolve_config("fig3").params
+    edge = iso_cooperativity_optimum(base, 79.0)
+    assert edge.at_boundary is True
+    assert edge.gamma >= 0.5 - GAMMA_SEARCH_TOL
+    inner = iso_cooperativity_optimum(base, 79.0, gamma_domain=(0.1, 3.0))
+    assert inner.at_boundary is False
+    assert 0.1 + GAMMA_SEARCH_TOL < inner.gamma < 3.0 - GAMMA_SEARCH_TOL
+    assert inner.population > edge.population
