@@ -151,6 +151,8 @@ def _parse_range(text: str):
         lo, hi, count = float(lo), float(hi), int(count)
     except ValueError:
         raise ConfigError(f"range must be lo:hi:count, got {text!r}") from None
+    if not np.isfinite([lo, hi]).all():
+        raise ConfigError(f"range bounds must be finite, got {text!r}")
     if count < 1 or hi < lo:
         raise ConfigError(f"invalid range {text!r}")
     return np.linspace(lo, hi, count)
@@ -174,8 +176,10 @@ def cmd_sweep(args) -> int:
         raise ConfigError(
             f"--c-list must be comma-separated numbers, got {args.c_list!r}"
         ) from None
-    if any(not c > 0 for c in c_list):
-        raise ConfigError(f"--c-list cooperativities must be positive, got {args.c_list!r}")
+    if any(not 0 < c < np.inf for c in c_list):
+        raise ConfigError(
+            f"--c-list cooperativities must be positive and finite, got {args.c_list!r}"
+        )
     state = args.state or target_label(params.variant)
     if state not in STATE_LABELS:
         raise ConfigError(f"--state must be one of {', '.join(STATE_LABELS)}, got {state!r}")
@@ -248,7 +252,7 @@ def cmd_derive(args) -> int:
         }
         print(f"hamiltonian deviation: {cmp.hamiltonian_deviation:.3e}")
         print(f"dissipator deviation:  {cmp.dissipator_deviation:.3e}")
-        if cmp.max_deviation > DERIVE_REGRESSION_TOL:
+        if not cmp.max_deviation <= DERIVE_REGRESSION_TOL:
             print(
                 f"derivation deviates from the analytic model by "
                 f"{cmp.max_deviation:.3e} (limit {DERIVE_REGRESSION_TOL:.1e})",

@@ -83,9 +83,12 @@ def _parse_float(value, key, origin, line):
     if value.strip().lower() == "pi":
         return math.pi
     try:
-        return float(value)
+        number = float(value)
     except ValueError:
         raise ConfigError(f"{key} must be a number, got {value!r}", origin, line) from None
+    if not math.isfinite(number):
+        raise ConfigError(f"{key} must be a finite number, got {value!r}", origin, line)
+    return number
 
 
 def _parse_int(value, key, origin, line):

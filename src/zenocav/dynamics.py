@@ -5,7 +5,9 @@ of size h on the vectorized equation is exactly the degree-4 Taylor
 polynomial of exp(h L) applied to the state.  That matrix is built once and
 raised to the sampling stride, which turns a million-step integration into a
 handful of dense matrix products plus one matrix-vector product per sample.
-Fixed steps keep sample grids bit-reproducible so overlay comparisons between
+The polynomial keeps the trace exactly, so a step size too large for the
+generator shows as populations leaving [0, 1], not as trace drift.  Fixed
+steps keep sample grids bit-reproducible so overlay comparisons between
 models are well defined.
 """
 
@@ -28,7 +30,8 @@ from .operators import (
 
 # Populations may undershoot/overshoot their exact range by integrator error.
 POPULATION_SLACK = 1e-6
-# Trace drift above this is a hard failure: the step size is too large.
+# The propagator keeps the trace exactly in exact arithmetic, so drift above
+# this means rounding on a state that has grown far out of range.
 TRACE_ABORT = 1e-4
 # Sample times are compared with this absolute tolerance (floating-point
 # accumulation of n*dt differs between runs with different strides).
@@ -44,15 +47,13 @@ class Trajectory:
     """Sampled observable records of one evolution.
 
     times are in units of 1/g.  records maps observable label to an array of
-    real values, one per time point.  states holds the sampled density
-    matrices only when requested at evolve time.
+    real values, one per time point.
     """
 
     times: np.ndarray
     records: dict
     final_state: np.ndarray
     final_report: DensityMatrixReport
-    states: tuple | None = None
 
     @property
     def labels(self) -> tuple:
@@ -75,12 +76,18 @@ class Trajectory:
 def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     """One Runge-Kutta step as a matrix: the degree-4 Taylor sum of exp(dt L)."""
     a = dt * liouv
-    eye = np.eye(a.shape[0], dtype=complex)
-    # Horner form: I + A(I + A/2 (I + A/3 (I + A/4)))
-    t = eye + a / 4.0
-    t = eye + (a / 3.0) @ t
-    t = eye + (a / 2.0) @ t
-    return eye + a @ t
+    diag = slice(None, None, a.shape[0] + 1)
+    # Horner form I + A(I + A/2 (I + A/3 (I + A/4))), built in place: the
+    # identity is added on the diagonal, and one product is alive at a time.
+    t = a / 4.0
+    for k in (3.0, 2.0):
+        t.flat[diag] += 1.0
+        t = a @ t
+        t /= k
+    t.flat[diag] += 1.0
+    t = a @ t
+    t.flat[diag] += 1.0
+    return t
 
 
 def _is_projector(op: np.ndarray) -> bool:
@@ -97,7 +104,6 @@ def evolve(
     dt: float,
     observables,
     sample_stride: int = 1,
-    store_states: bool = False,
 ) -> Trajectory:
     """Integrate the master equation and record observables.
 
@@ -116,11 +122,11 @@ def evolve(
     sample_stride : int
         Record every this many steps; the initial and final points are
         always recorded.
-    store_states : bool
-        Also keep the sampled density matrices (memory permitting).
 
-    Raises IntegrationError when the trace drifts beyond 1e-4, which means
-    dt is too large for the generator's stiffness.
+    Raises IntegrationError, naming the first offending sample time, when a
+    population leaves [0, 1] or gains an imaginary part, or the trace drifts
+    beyond 1e-4.  RK4 keeps the trace exactly, so a dt too large for the
+    generator's stiffness shows as a population out of range.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != me.hamiltonian.shape:
@@ -135,87 +141,71 @@ def evolve(
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
+    dim = rho0.shape[0]
     labels = []
-    ops = []
-    population_guard = []
-    for label, op in observables:
+    # Row 0 reads the trace; row k reads Tr(op_k rho) = op_k.ravel() . vec(rho).
+    readout = [np.eye(dim, dtype=complex).ravel()]
+    guarded = []
+    for k, (label, op) in enumerate(observables):
         op = np.asarray(op, dtype=complex)
         if op.shape != rho0.shape:
             raise ValueError(f"observable {label!r} shape {op.shape} != state {rho0.shape}")
+        if _is_projector(op):
+            guarded.append(k)
         labels.append(label)
-        ops.append(op)
-        population_guard.append(_is_projector(op))
+        readout.append(op.ravel())
+    readout = np.array(readout)
 
+    # The sample schedule: step counts at the samples, the sample times, and
+    # the propagator that carries each sample to the next.
     n_steps = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_steps * dt
-    if remainder < 1e-12 * max(1.0, abs(t_end)):
-        remainder = 0.0
-
+    marks = [*range(0, n_steps, sample_stride), n_steps]
+    times = [m * dt for m in marks]
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    step_prop = rk4_propagator(liouv, dt) if n_steps > 0 else None
-    prop_cache = {}
+    if remainder < 1e-12 * max(1.0, abs(t_end)):
+        times[-1] = t_end
+        tail = []
+    else:
+        times.append(t_end)
+        tail = [rk4_propagator(liouv, remainder)]
+    step = rk4_propagator(liouv, dt) if n_steps else None
+    del liouv  # matrix_power's temporaries need the room
+    advances = np.diff(marks).tolist()
+    powers = {k: np.linalg.matrix_power(step, k) for k in set(advances)}
+    propagators = [powers[k] for k in advances] + tail
 
-    def propagator_power(k):
-        if k not in prop_cache:
-            prop_cache[k] = np.linalg.matrix_power(step_prop, k)
-        return prop_cache[k]
-
-    times = []
-    values = [[] for _ in labels]
-    states = [] if store_states else None
     vec = vectorize(rho0)
-    dim = rho0.shape[0]
-    diag_idx = np.arange(dim) * (dim + 1)
+    readings = [readout @ vec]
+    for prop in propagators:
+        vec = prop @ vec
+        readings.append(readout @ vec)
+    readings = np.array(readings)
 
-    def record(t, vec):
-        rho_t = vec.reshape((dim, dim), order="F")
-        trace = vec[diag_idx].sum()
-        drift = abs(trace - 1.0)
+    for t, row in zip(times, readings):
+        drift = abs(row[0] - 1.0)
         if drift > TRACE_ABORT:
             raise IntegrationError(
                 f"trace drifted by {drift:.3e} at t={t:g} (dt={dt:g}); "
                 "the step size is too large for this generator"
             )
-        times.append(t)
-        for k, op in enumerate(ops):
-            val = np.trace(op @ rho_t)
-            if population_guard[k] and abs(val.imag) > 1e-8:
+        for k in guarded:
+            val = row[k + 1]
+            if abs(val.imag) > 1e-8:
                 raise IntegrationError(
                     f"population {labels[k]!r} has imaginary residue {val.imag:.3e} at t={t:g}"
                 )
-            real = float(val.real)
-            if population_guard[k] and not (
-                -POPULATION_SLACK <= real <= 1.0 + POPULATION_SLACK
-            ):
+            if not -POPULATION_SLACK <= val.real <= 1.0 + POPULATION_SLACK:
                 raise IntegrationError(
-                    f"population {labels[k]!r} = {real!r} out of range at t={t:g}"
+                    f"population {labels[k]!r} = {float(val.real)!r} out of range at t={t:g}"
                 )
-            values[k].append(real)
-        if states is not None:
-            states.append(rho_t.copy())
-
-    record(0.0, vec)
-    step = 0
-    while step < n_steps:
-        advance = min(sample_stride, n_steps - step)
-        vec = propagator_power(advance) @ vec
-        step += advance
-        if remainder == 0.0 and step == n_steps:
-            record(t_end, vec)
-        else:
-            record(step * dt, vec)
-    if remainder > 0.0:
-        vec = rk4_propagator(liouv, remainder) @ vec
-        record(t_end, vec)
 
     final_state = vec.reshape((dim, dim), order="F")
-    final_report = validate_density_matrix(final_state, INTEGRATION_TOL)
     return Trajectory(
         times=np.array(times),
-        records={lb: np.array(vals) for lb, vals in zip(labels, values)},
+        records={lb: readings[:, k + 1].real.copy() for k, lb in enumerate(labels)},
         final_state=final_state,
-        final_report=final_report,
-        states=tuple(states) if states is not None else None,
+        final_report=validate_density_matrix(final_state, INTEGRATION_TOL),
     )
 
 

@@ -148,44 +148,21 @@ def grid_sweep(
             tasks.append(((i, j), params, state_label))
 
     workers = resolve_workers(workers)
-    values = np.full((len(gamma_values), len(kappa_values)), math.nan)
-    failures = []
     if workers == 1:
-        outcomes = map(_solve_grid_point, tasks)
-        for (i, j), value, error in outcomes:
-            values[i, j] = value
-            if error is not None:
-                failures.append((i, j, error))
+        outcomes = list(map(_solve_grid_point, tasks))
     else:
-        # Worker processes each solve small dense problems; keep their BLAS
-        # single-threaded so processes do not fight over cores.
-        saved = {}
-        thread_vars = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-        for var in thread_vars:
-            saved[var] = os.environ.get(var)
-            os.environ[var] = "1"
-        try:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for (i, j), value, error in pool.map(
-                    _solve_grid_point, tasks, chunksize=4
-                ):
-                    values[i, j] = value
-                    if error is not None:
-                        failures.append((i, j, error))
-        finally:
-            for var, old in saved.items():
-                if old is None:
-                    os.environ.pop(var, None)
-                else:
-                    os.environ[var] = old
-
-    failures.sort()
+        # Workers run with the parent's BLAS thread settings.
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            outcomes = list(pool.map(_solve_grid_point, tasks, chunksize=4))
+    values = np.full((len(gamma_values), len(kappa_values)), math.nan)
+    for (i, j), value, _ in outcomes:
+        values[i, j] = value
     return SweepGrid(
         gamma_values=gamma_values,
         kappa_values=kappa_values,
         values=values,
         observable_label=f"P_{state_label}",
-        failures=tuple(failures),
+        failures=tuple((i, j, error) for (i, j), _, error in outcomes if error is not None),
     )
 
 

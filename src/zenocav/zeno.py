@@ -285,7 +285,8 @@ class DerivationComparison:
 
     @property
     def max_deviation(self) -> float:
-        return max(self.hamiltonian_deviation, self.dissipator_deviation)
+        """The larger deviation; NaN if either is NaN."""
+        return float(np.max([self.hamiltonian_deviation, self.dissipator_deviation]))
 
 
 def compare_derivation(

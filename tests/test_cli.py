@@ -1,8 +1,10 @@
 import json
+import math
 
 import pytest
 
 from zenocav.cli import main
+from zenocav.zeno import DerivationComparison
 
 
 def write_cfg(tmp_path, name="model.cfg", **overrides):
@@ -267,12 +269,50 @@ def test_derive_rejects_reduced_variant(tmp_path, capsys):
     assert "already a reduced model" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "comparison",
+    [DerivationComparison(math.nan, 0.0), DerivationComparison(0.0, math.nan)],
+    ids=["hamiltonian", "dissipator"],
+)
+def test_derive_fails_on_nan_deviation(monkeypatch, capsys, comparison):
+    monkeypatch.setattr("zenocav.cli.compare_derivation", lambda *args: comparison)
+    assert main(["derive", "fig3"]) == 1
+    assert "deviates from the analytic model by nan" in capsys.readouterr().err
+
+
 # -- dispatch -----------------------------------------------------------------------
 
 
 def test_unknown_config_name(capsys):
     assert main(["steady", "no_such_preset"]) == 2
     assert "not found" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", "fig3", "--set", "gamma=nan"],
+        ["steady", "fig3", "--set", "kappa=inf"],
+        ["steady", "fig2a", "--delta-mult", "inf"],
+        ["evolve", "fig1c", "--set", "dt=nan"],
+        ["evolve", "fig1c", "--set", "t_end=inf"],
+        ["evolve", "fig2b", "--omega", "nan"],
+        ["sweep", "fig3", "--gamma-range", "nan:nan:1", "--kappa-range", "0.3:0.3:1"],
+        ["sweep", "fig3", "--gamma-range", "0.1:inf:2", "--kappa-range", "0.3:0.3:1"],
+        ["sweep", "fig3", "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.3:0.3:1",
+         "--c-list", "inf"],
+        ["derive", "fig3", "--set", "delta=nan"],
+    ],
+    ids=[
+        "gamma-nan", "kappa-inf", "delta-mult-inf", "dt-nan", "t_end-inf", "omega-nan",
+        "range-nan", "range-inf", "c-list-inf", "delta-nan",
+    ],
+)
+def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv):
+    assert main(argv) == 2
+    assert "finite" in capsys.readouterr().err
+    # Rejected before any solve: no output file.
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_config_parse_error_carries_location(tmp_path, capsys):

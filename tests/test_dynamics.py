@@ -3,15 +3,23 @@ import math
 import numpy as np
 import pytest
 
-from zenocav import IntegrationError, evolve, liouvillian, named_state
+from zenocav import (
+    IntegrationError,
+    evolve,
+    initial_density_matrix,
+    liouvillian,
+    named_state,
+    resolve_config,
+)
 from zenocav.dynamics import Trajectory, compare_trajectories, rk4_propagator
 from zenocav.models import MasterEquationSpec, ModelParams, Variant, build_model
 from zenocav.operators import vectorize
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, traced_peak
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
+SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
 
 
 def toy_model(h, collapse_ops=()):
@@ -69,6 +77,29 @@ def test_propagator_taylor_coefficients():
     assert np.max(np.abs(prop - expected)) < 1e-15
 
 
+def test_propagator_holds_one_product():
+    # a = dt L, the Horner accumulator and one product: 3 generator sizes.
+    me = build_model(resolve_config("fig1c").params)
+    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
+    _, peak = traced_peak(rk4_propagator, liouv, 0.002)
+    assert peak <= 3.25 * liouv.nbytes
+
+
+def test_evolve_memory_peak():
+    # The stride power: the step propagator and matrix_power's three
+    # operands, with the generator already released.
+    config = resolve_config("fig1c")
+    run, params = config.run, config.params
+    me = build_model(params)
+    rho0 = initial_density_matrix(run.initial_state, params)
+    target = named_state("S", params).projector
+    traj, peak = traced_peak(
+        evolve, me, rho0, run.t_end, run.dt, [("P_S", target)], run.sample_stride
+    )
+    assert traj.value("P_S") > 0.9
+    assert peak <= 4.5 * params.dim**4 * 16
+
+
 def test_step_error_is_fourth_order():
     gamma, t_end = 1.0, 2.0
     me = damping_model(gamma)
@@ -107,10 +138,10 @@ def test_coherence_decays_at_half_rate():
     gamma = 0.8
     me = damping_model(gamma)
     plus = np.full((2, 2), 0.5, dtype=complex)
-    traj = evolve(me, plus, 2.0, 0.001, [], sample_stride=100, store_states=True)
-    coherences = np.array([state[0, 1] for state in traj.states])
-    expected = 0.5 * np.exp(-0.5 * gamma * traj.times)
-    assert np.max(np.abs(coherences - expected)) < 1e-9
+    traj = evolve(me, plus, 2.0, 0.001, [("X", SIGMA_X)], sample_stride=100)
+    # <sigma_x> = 2 Re rho_01 decays at gamma / 2.
+    expected = np.exp(-0.5 * gamma * traj.times)
+    assert np.max(np.abs(traj.records["X"] - expected)) < 1e-9
 
 
 def test_zero_duration_records_initial_point(rng):
@@ -142,14 +173,16 @@ def test_stride_longer_than_run():
     assert np.allclose(traj.times, [0.0, 1.0], atol=1e-12)
 
 
-def test_store_states_consistent_with_records(rng):
+def test_records_match_trace_at_ends(rng):
     me = damping_model(0.5)
     rho0 = random_density_matrix(rng, 2)
-    traj = evolve(me, rho0, 1.0, 0.01, [("P1", P1)], sample_stride=20, store_states=True)
-    assert len(traj.states) == len(traj.times)
-    assert np.max(np.abs(traj.states[0] - rho0)) < 1e-14
-    for k, state in enumerate(traj.states):
-        assert np.trace(P1 @ state).real == pytest.approx(traj.records["P1"][k], abs=1e-12)
+    ops = [("P1", P1), ("X", SIGMA_X)]
+    traj = evolve(me, rho0, 1.0, 0.01, ops, sample_stride=20)
+    for label, op in ops:
+        assert traj.records[label][0] == pytest.approx(np.trace(op @ rho0).real, abs=1e-14)
+        assert traj.value(label) == pytest.approx(
+            np.trace(op @ traj.final_state).real, abs=1e-14
+        )
 
 
 def test_unstable_step_size_detected():
