@@ -1,14 +1,16 @@
 """Fixed-step time evolution of master equations.
 
-The generator is time independent, so a classical 4th-order Runge-Kutta step
-of size h on the vectorized equation is exactly the degree-4 Taylor
-polynomial of exp(h L) applied to the state.  That matrix is built once and
-raised to the sampling stride, which turns a million-step integration into a
-handful of dense matrix products plus one matrix-vector product per sample.
-The polynomial keeps the trace exactly, so a step size too large for the
-generator shows as populations leaving [0, 1], not as trace drift.  Fixed
-steps keep sample grids bit-reproducible so overlay comparisons between
-models are well defined.
+The state and the generator M are real, in the Hermitian coordinates of
+:mod:`zenocav.operators`, and every observable is Hermitian, so every
+reading is a real dot product.  M is time independent, so a classical RK4
+step of size h is exactly the degree-4 Taylor polynomial of exp(h M) applied
+to the state.  That matrix is built once and raised to the sampling stride,
+which turns a million-step integration into a handful of dense matrix
+products plus one matrix-vector product per sample.  The polynomial keeps
+the trace exactly, so a step size too large for the generator shows as
+populations leaving [0, 1], not as trace drift.  Fixed steps keep sample
+grids bit-reproducible so overlay comparisons between models are well
+defined.
 """
 
 from __future__ import annotations
@@ -22,10 +24,12 @@ from .operators import (
     ALGEBRAIC_TOL,
     INTEGRATION_TOL,
     DensityMatrixReport,
+    from_hermitian,
+    hermitian_generator,
     hermiticity_defect,
     liouvillian,
+    to_hermitian,
     validate_density_matrix,
-    vectorize,
 )
 
 # Populations may undershoot/overshoot their exact range by integrator error.
@@ -90,13 +94,6 @@ def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     return t
 
 
-def _is_projector(op: np.ndarray) -> bool:
-    return (
-        hermiticity_defect(op) <= ALGEBRAIC_TOL
-        and np.max(np.abs(op @ op - op)) <= ALGEBRAIC_TOL
-    )
-
-
 def evolve(
     me: MasterEquationSpec,
     rho0: np.ndarray,
@@ -117,16 +114,17 @@ def evolve(
         Total time and step size, in units of 1/g.  A shorter final step
         covers t_end when it is not a multiple of dt.
     observables : sequence of (label, ndarray)
-        Hermitian operators to record.  Projector-valued observables are
-        range-checked as populations.
+        Hermitian operators to record (ValueError otherwise).
+        Projector-valued observables are range-checked as populations.
     sample_stride : int
         Record every this many steps; the initial and final points are
         always recorded.
 
-    Raises IntegrationError, naming the first offending sample time, when a
-    population leaves [0, 1] or gains an imaginary part, or the trace drifts
-    beyond 1e-4.  RK4 keeps the trace exactly, so a dt too large for the
-    generator's stiffness shows as a population out of range.
+    The state is integrated in real Hermitian coordinates, so every record
+    is real.  Raises IntegrationError, naming the first offending sample
+    time, when a population leaves [0, 1] or the trace drifts beyond 1e-4.
+    RK4 keeps the trace exactly, so a dt too large for the generator's
+    stiffness shows as a population out of range.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != me.hamiltonian.shape:
@@ -134,26 +132,27 @@ def evolve(
     report = validate_density_matrix(rho0)
     if not report.passed:
         raise ValueError(f"initial state is not a density matrix: {report.summary()}")
-    if dt <= 0:
+    if not 0 < dt < np.inf:
         raise ValueError(f"dt must be positive, got {dt}")
-    if t_end < 0:
+    if not 0 <= t_end < np.inf:
         raise ValueError(f"t_end must be non-negative, got {t_end}")
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
-    dim = rho0.shape[0]
     labels = []
-    # Row 0 reads the trace; row k reads Tr(op_k rho) = op_k.ravel() . vec(rho).
-    readout = [np.eye(dim, dtype=complex).ravel()]
+    # Row 0 reads the trace; row k reads Tr(op_k rho) = to_hermitian(op_k) . x.
+    readout = [to_hermitian(np.eye(rho0.shape[0]))]
     guarded = []
     for k, (label, op) in enumerate(observables):
         op = np.asarray(op, dtype=complex)
         if op.shape != rho0.shape:
             raise ValueError(f"observable {label!r} shape {op.shape} != state {rho0.shape}")
-        if _is_projector(op):
+        if hermiticity_defect(op) > ALGEBRAIC_TOL:
+            raise ValueError(f"observable {label!r} is not Hermitian")
+        if np.max(np.abs(op @ op - op)) <= ALGEBRAIC_TOL:
             guarded.append(k)
         labels.append(label)
-        readout.append(op.ravel())
+        readout.append(to_hermitian(op))
     readout = np.array(readout)
 
     # The sample schedule: step counts at the samples, the sample times, and
@@ -162,24 +161,24 @@ def evolve(
     remainder = t_end - n_steps * dt
     marks = [*range(0, n_steps, sample_stride), n_steps]
     times = [m * dt for m in marks]
-    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
+    generator = hermitian_generator(liouvillian(me.hamiltonian, me.collapse_ops))
     if remainder < 1e-12 * max(1.0, abs(t_end)):
         times[-1] = t_end
         tail = []
     else:
         times.append(t_end)
-        tail = [rk4_propagator(liouv, remainder)]
-    step = rk4_propagator(liouv, dt) if n_steps else None
-    del liouv  # matrix_power's temporaries need the room
+        tail = [rk4_propagator(generator, remainder)]
+    step = rk4_propagator(generator, dt) if n_steps else None
+    del generator  # matrix_power's temporaries need the room
     advances = np.diff(marks).tolist()
     powers = {k: np.linalg.matrix_power(step, k) for k in set(advances)}
     propagators = [powers[k] for k in advances] + tail
 
-    vec = vectorize(rho0)
-    readings = [readout @ vec]
+    x = to_hermitian(rho0)
+    readings = [readout @ x]
     for prop in propagators:
-        vec = prop @ vec
-        readings.append(readout @ vec)
+        x = prop @ x
+        readings.append(readout @ x)
     readings = np.array(readings)
 
     for t, row in zip(times, readings):
@@ -190,20 +189,15 @@ def evolve(
                 "the step size is too large for this generator"
             )
         for k in guarded:
-            val = row[k + 1]
-            if abs(val.imag) > 1e-8:
+            if not -POPULATION_SLACK <= row[k + 1] <= 1.0 + POPULATION_SLACK:
                 raise IntegrationError(
-                    f"population {labels[k]!r} has imaginary residue {val.imag:.3e} at t={t:g}"
-                )
-            if not -POPULATION_SLACK <= val.real <= 1.0 + POPULATION_SLACK:
-                raise IntegrationError(
-                    f"population {labels[k]!r} = {float(val.real)!r} out of range at t={t:g}"
+                    f"population {labels[k]!r} = {float(row[k + 1])!r} out of range at t={t:g}"
                 )
 
-    final_state = vec.reshape((dim, dim), order="F")
+    final_state = from_hermitian(x)
     return Trajectory(
         times=np.array(times),
-        records={lb: readings[:, k + 1].real.copy() for k, lb in enumerate(labels)},
+        records={lb: readings[:, k + 1] for k, lb in enumerate(labels)},
         final_state=final_state,
         final_report=validate_density_matrix(final_state, INTEGRATION_TOL),
     )

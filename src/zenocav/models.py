@@ -111,6 +111,9 @@ class ModelParams:
     g: float = 1.0
 
     def __post_init__(self):
+        for name in ("omega", "omega_mw", "delta", "gamma", "kappa", "phi", "g"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         for name in ("omega", "omega_mw", "gamma", "kappa"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")

@@ -13,6 +13,12 @@ Vectorization is column stacking throughout::
 Every superoperator formula in this package follows that one convention.
 The Lindblad generator takes the non-Hermitian Hamiltonian form
 ``h_nh = h - (i/2) sum_k L_k^dag L_k`` (Reiter & Sørensen, PRA 85, 032111).
+
+The generator maps Hermitian matrices to Hermitian ones, so the solvers work
+in real Hermitian coordinates: ``[rho_ii | sqrt2 Re rho_ij | sqrt2 Im rho_ij]``
+over ``i < j``, an orthonormal real basis in which the generator is a real
+matrix of the same size and ``Tr(A B)`` is the dot product of the
+coordinates of Hermitian ``A`` and ``B``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,8 @@ import numpy as np
 ALGEBRAIC_TOL = 1e-10
 PHYSICAL_TOL = 1e-9
 INTEGRATION_TOL = 1e-6
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _as_square(a, name: str = "operator") -> np.ndarray:
@@ -127,6 +135,72 @@ def devectorize(v) -> np.ndarray:
     if n * n != v.size:
         raise ValueError(f"vector of length {v.size} is not a vectorized square matrix")
     return v.reshape((n, n), order="F")
+
+
+def _hermitian_coordinates(dim: int):
+    """Column-stacked positions of the diagonal and of the pairs i < j.
+
+    Pairs run over j, then i, so the equations for rho_0j .. rho_jj are the
+    contiguous generator rows j*dim .. j*dim + j.
+    """
+    j, i = np.tril_indices(dim, -1)
+    return np.arange(dim) * (dim + 1), i + j * dim, j + i * dim
+
+
+def hermitian_generator(liouv: np.ndarray) -> np.ndarray:
+    """The generator in real Hermitian coordinates, M = U^dag L U.
+
+    M is real because L maps Hermitian matrices to Hermitian ones; the
+    equation for rho_ji is the conjugate of the one for rho_ij, so only the
+    rows for i <= j are read, one column of rho at a time.  M is filled row
+    by row in C order, which LAPACK reads as the Fortran-ordered M^T.
+    """
+    n2 = liouv.shape[0]
+    dim = math.isqrt(n2)
+    diag, upper, lower = _hermitian_coordinates(dim)
+    re0, im0 = dim, dim + upper.size
+    system = np.empty((n2, n2))
+    for j in range(dim):
+        rows = liouv[j * dim : j * dim + j + 1]
+        xd = rows[:, diag]
+        xu = rows[:, upper]
+        xl = rows[:, lower]
+        # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.
+        xs = xu + xl
+        xu -= xl
+        system[j, :re0] = xd[j].real
+        system[j, re0:im0] = xs[j].real / _SQRT2
+        system[j, im0:] = xu[j].imag / -_SQRT2
+        # Rows of U^dag: sqrt2 Re and sqrt2 Im of each equation rho_ij, i < j.
+        pairs = j * (j - 1) // 2
+        re_rows = slice(re0 + pairs, re0 + pairs + j)
+        im_rows = slice(im0 + pairs, im0 + pairs + j)
+        system[re_rows, :re0] = xd[:j].real * _SQRT2
+        system[re_rows, re0:im0] = xs[:j].real
+        system[re_rows, im0:] = -xu[:j].imag
+        system[im_rows, :re0] = xd[:j].imag * _SQRT2
+        system[im_rows, re0:im0] = xs[:j].imag
+        system[im_rows, im0:] = xu[:j].real
+    return system
+
+
+def to_hermitian(op) -> np.ndarray:
+    """Hermitian coordinates of op, read from its diagonal and upper triangle."""
+    v = vectorize(op)
+    diag, upper, _ = _hermitian_coordinates(math.isqrt(v.size))
+    return np.concatenate([v[diag].real, _SQRT2 * v[upper].real, _SQRT2 * v[upper].imag])
+
+
+def from_hermitian(x) -> np.ndarray:
+    """The Hermitian matrix with coordinates x."""
+    dim = math.isqrt(x.size)
+    diag, upper, lower = _hermitian_coordinates(dim)
+    rho = np.empty(x.size, dtype=complex)
+    rho[diag] = x[:dim]
+    pairs = (x[dim : dim + upper.size] + 1j * x[dim + upper.size :]) / _SQRT2
+    rho[upper] = pairs
+    rho[lower] = pairs.conj()
+    return devectorize(rho)
 
 
 @dataclass(frozen=True)

@@ -2,11 +2,9 @@
 
 The stationary state solves L vec(rho) = 0 with Tr rho = 1.  The generator
 is dense (up to 2916 square at n_max = 5), and a direct LU solve is the
-workhorse.  Because L maps Hermitian matrices to Hermitian ones, it is
-solved in real coordinates: the orthonormal basis rho_ii, sqrt2 Re rho_ij,
-sqrt2 Im rho_ij (i < j) turns L into a real matrix of the same size, whose
-LU costs about a quarter of the complex one.  The equation for rho_00 is
-replaced by the trace constraint.  A reciprocal-condition estimate on the
+workhorse.  It factors the generator in real Hermitian coordinates
+(see :mod:`zenocav.operators`), whose LU costs about a quarter of the
+complex one, with the equation for rho_00 replaced by the trace constraint.  A reciprocal-condition estimate on the
 factorization flags degenerate generators without paying for an
 eigendecomposition at every call; the residual is always checked on the
 complex generator.
@@ -14,7 +12,6 @@ complex generator.
 
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -22,7 +19,7 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .models import MasterEquationSpec
-from .operators import PHYSICAL_TOL, devectorize, liouvillian
+from .operators import PHYSICAL_TOL, devectorize, from_hermitian, hermitian_generator, liouvillian
 
 # Below this reciprocal condition number the trace-replaced system is treated
 # as singular and the generator is checked for a degenerate nullspace.
@@ -35,8 +32,6 @@ NULLSPACE_TOL_SCALE = 1e-10
 CLIP_LIMIT = PHYSICAL_TOL
 # Returned states must satisfy the stationarity equation this tightly.
 RESIDUAL_LIMIT = 1e-9
-
-_SQRT2 = math.sqrt(2.0)
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -80,71 +75,6 @@ def _reciprocal_condition(lu_pair, norm1: float) -> float:
     if info != 0:
         raise SteadyStateNumericsError(f"condition estimate failed (info={info})")
     return float(rcond)
-
-
-def _hermitian_coordinates(dim: int):
-    """Column-stacked positions of the diagonal and of the pairs i < j.
-
-    Pairs run over j, then i, so the equations for rho_0j .. rho_jj are the
-    contiguous generator rows j*dim .. j*dim + j.
-    """
-    j, i = np.tril_indices(dim, -1)
-    return np.arange(dim) * (dim + 1), i + j * dim, j + i * dim
-
-
-def _hermitian_system(liouv: np.ndarray) -> np.ndarray:
-    """The generator in real Hermitian coordinates, trace row first.
-
-    The coordinates of rho are [rho_ii | sqrt2 Re rho_ij | sqrt2 Im rho_ij]
-    over i < j, an orthonormal real basis of the Hermitian matrices, so the
-    system is M = U^dag L U.  M is real because L maps Hermitian matrices to
-    Hermitian ones; the equation for rho_ji is the conjugate of the one for
-    rho_ij, so only the rows for i <= j are read.  The (0,0) equation is
-    replaced by the trace constraint.  M is filled row by row in C order,
-    which LAPACK reads as the Fortran-ordered M^T.
-    """
-    n2 = liouv.shape[0]
-    dim = math.isqrt(n2)
-    diag, upper, lower = _hermitian_coordinates(dim)
-    re0 = dim
-    im0 = dim + upper.size
-    system = np.empty((n2, n2))
-    system[0, :] = 0.0
-    system[0, :dim] = 1.0
-    for j in range(1, dim):
-        rows = liouv[j * dim : j * dim + j + 1]
-        xd = rows[:, diag]
-        xu = rows[:, upper]
-        xl = rows[:, lower]
-        # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.
-        xs = xu + xl
-        xu -= xl
-        system[j, :re0] = xd[j].real
-        system[j, re0:im0] = xs[j].real / _SQRT2
-        system[j, im0:] = xu[j].imag / -_SQRT2
-        # Rows of U^dag: sqrt2 Re and sqrt2 Im of each equation rho_ij, i < j.
-        pairs = j * (j - 1) // 2
-        re_rows = slice(re0 + pairs, re0 + pairs + j)
-        im_rows = slice(im0 + pairs, im0 + pairs + j)
-        system[re_rows, :re0] = xd[:j].real * _SQRT2
-        system[re_rows, re0:im0] = xs[:j].real
-        system[re_rows, im0:] = -xu[:j].imag
-        system[im_rows, :re0] = xd[:j].imag * _SQRT2
-        system[im_rows, re0:im0] = xs[:j].imag
-        system[im_rows, im0:] = xu[:j].real
-    return system
-
-
-def _from_hermitian(x: np.ndarray) -> np.ndarray:
-    """The density matrix with Hermitian coordinates x."""
-    dim = math.isqrt(x.size)
-    diag, upper, lower = _hermitian_coordinates(dim)
-    rho = np.empty(x.size, dtype=complex)
-    rho[diag] = x[:dim]
-    pairs = (x[dim : dim + upper.size] + 1j * x[dim + upper.size :]) / _SQRT2
-    rho[upper] = pairs
-    rho[lower] = pairs.conj()
-    return devectorize(rho)
 
 
 def _repair_positivity(rho: np.ndarray):
@@ -215,9 +145,11 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     """
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
     # M is C-ordered, so its transpose is the Fortran-ordered array LAPACK
-    # factors in place.  The factorization overwrites it, so take the norm
-    # first: ||M||_1 = ||M^T||_inf.
-    system_t = _hermitian_system(liouv).T
+    # factors in place; row 0 of M, the rho_00 equation, becomes the trace
+    # constraint.  The factorization overwrites M, so take the norm first.
+    system_t = hermitian_generator(liouv).T
+    system_t[:, 0] = 0.0
+    system_t[: me.dim, 0] = 1.0
     method = "trace_replacement"
     dimension = 1
     (lange,) = get_lapack_funcs(("lange",), (system_t,))
@@ -238,7 +170,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         rhs = np.zeros(system_t.shape[0])
         rhs[0] = 1.0
         # trans=1 solves with (M^T)^T = M.
-        rho = _from_hermitian(lu_solve(lu_pair, rhs, trans=1))
+        rho = from_hermitian(lu_solve(lu_pair, rhs, trans=1))
 
     rho, clip_magnitude = _repair_positivity(rho)
     residual = float(np.max(np.abs(liouv @ rho.flatten(order="F"))))

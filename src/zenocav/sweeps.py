@@ -201,8 +201,8 @@ def iso_cooperativity_optimum(
     A log-spaced scan brackets the maximum, then a golden-section pass
     narrows the bracket to GAMMA_SEARCH_TOL.
     """
-    if c <= 0:
-        raise ValueError(f"cooperativity must be positive, got {c}")
+    if not 0 < c < math.inf:
+        raise ValueError(f"cooperativity must be positive and finite, got {c}")
     lo, hi = gamma_domain
     if not (0 < lo < hi):
         raise ValueError(f"invalid gamma domain {gamma_domain!r}")

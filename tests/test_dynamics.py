@@ -2,6 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zenocav import (
     IntegrationError,
@@ -85,19 +88,23 @@ def test_propagator_holds_one_product():
     assert peak <= 3.25 * liouv.nbytes
 
 
-def test_evolve_memory_peak():
-    # The stride power: the step propagator and matrix_power's three
-    # operands, with the generator already released.
+@pytest.mark.parametrize(
+    "t_end, bound", [(None, 2.25), (10.001, 2.75)], ids=["stride", "remainder"]
+)
+def test_evolve_memory_peak(t_end, bound):
+    # In complex generator sizes: the stride power runs on the real generator,
+    # half that size, as the step propagator and matrix_power's three
+    # operands; a remainder step keeps one more real propagator alive.
     config = resolve_config("fig1c")
     run, params = config.run, config.params
     me = build_model(params)
     rho0 = initial_density_matrix(run.initial_state, params)
     target = named_state("S", params).projector
     traj, peak = traced_peak(
-        evolve, me, rho0, run.t_end, run.dt, [("P_S", target)], run.sample_stride
+        evolve, me, rho0, t_end or run.t_end, run.dt, [("P_S", target)], run.sample_stride
     )
-    assert traj.value("P_S") > 0.9
-    assert peak <= 4.5 * params.dim**4 * 16
+    assert traj.final_report.passed
+    assert peak <= bound * params.dim**4 * 16
 
 
 def test_step_error_is_fourth_order():
@@ -198,6 +205,52 @@ def test_rejects_non_state_input():
         evolve(me, not_normalized, 1.0, 0.1, [])
     with pytest.raises(ValueError, match="shape"):
         evolve(me, np.eye(3, dtype=complex) / 3.0, 1.0, 0.1, [])
+
+
+def test_evolve_rejects_non_hermitian_observable():
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    with pytest.raises(ValueError, match="'lower' is not Hermitian"):
+        evolve(damping_model(0.5), P1.astype(complex), 1.0, 0.1, [("P1", P1), ("lower", lower)])
+
+
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("name", ["dt", "t_end"])
+def test_rejects_non_finite_run_parameters(rng, name, value):
+    run = {"t_end": 1.0, "dt": 0.1, name: value}
+    rho0 = random_density_matrix(rng, 2)
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        evolve(damping_model(0.5), rho0, run["t_end"], run["dt"], [("P1", P1)])
+
+
+@st.composite
+def small_runs(draw):
+    """A random model at dims 2-4 with 0-3 channels, a random state and schedule."""
+    dim = draw(st.integers(2, 4))
+    entries = st.complex_numbers(max_magnitude=0.5, allow_nan=False, allow_infinity=False)
+    square = hnp.arrays(complex, (dim, dim), elements=entries)
+    a, w, obs = draw(square), draw(square), draw(square)
+    rho0 = w @ w.conj().T + 1e-3 * np.eye(dim)
+    me = toy_model(a + a.conj().T, draw(st.lists(square, max_size=3)))
+    run = draw(st.integers(0, 40)), draw(st.integers(1, 12))
+    return me, rho0 / np.trace(rho0).real, obs + obs.conj().T, run
+
+
+@given(small_runs())
+def test_evolve_matches_naive_stepper(system):
+    me, rho0, obs, (steps, stride) = system
+    dt = 0.005
+    traj = evolve(me, rho0, steps * dt, dt, [("I", np.eye(me.dim)), ("O", obs)], stride)
+    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
+    marks = [*range(0, steps, stride), steps]
+    vec = vectorize(rho0)
+    expected = []
+    for advance in np.diff([0, *marks]):
+        vec = naive_rk4(liouv, vec, dt, advance)
+        expected.append(np.trace(obs @ vec.reshape(rho0.shape, order="F")).real)
+    assert len(traj.times) == len(marks)
+    assert np.max(np.abs(traj.records["O"] - expected)) <= 1e-10
+    assert np.max(np.abs(traj.records["I"] - 1.0)) <= 1e-12
+    assert abs(np.trace(traj.final_state) - 1.0) <= 1e-12
 
 
 def test_rejects_bad_run_parameters(rng):

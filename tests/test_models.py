@@ -46,6 +46,13 @@ def test_negative_rates_rejected(field):
         params(Variant.BELL_FULL, **{field: -0.1})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("field", ["omega", "omega_mw", "delta", "gamma", "kappa", "phi", "g"])
+def test_non_finite_parameters_rejected(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be finite"):
+        params(Variant.BELL_FULL, **{field: value})
+
+
 def test_full_variant_needs_cavity_level():
     with pytest.raises(ValueError, match="n_max"):
         params(Variant.BELL_FULL, n_max=0)

@@ -19,10 +19,13 @@ from zenocav.operators import (
     dagger,
     devectorize,
     expectation,
+    from_hermitian,
+    hermitian_generator,
     hermiticity_defect,
     operator_from_dict,
     operator_to_dict,
     tensor_product,
+    to_hermitian,
     validate_density_matrix,
     vectorize,
 )
@@ -267,6 +270,38 @@ def test_trace_as_vector_dot(rng):
 def test_devectorize_rejects_bad_length():
     with pytest.raises(ValueError, match="square"):
         devectorize(np.zeros(5))
+
+
+# -- Hermitian coordinates ---------------------------------------------------------
+
+
+@st.composite
+def hermitian_pairs(draw):
+    dim = draw(st.integers(1, 5))
+    entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    a, b = draw(hnp.arrays(complex, (2, dim, dim), elements=entries))
+    return a + a.conj().T, b + b.conj().T
+
+
+@given(hermitian_pairs())
+def test_hermitian_coordinates_round_trip_and_trace(pair):
+    a, b = pair
+    scale = 1.0 + np.abs(a).max()
+    assert np.max(np.abs(from_hermitian(to_hermitian(a)) - a)) <= 1e-15 * scale
+    assert to_hermitian(a) @ to_hermitian(b) == pytest.approx(
+        np.trace(a @ b).real, abs=1e-12 * scale * (1.0 + np.abs(b).sum())
+    )
+
+
+@given(open_systems())
+def test_hermitian_generator_acts_as_the_generator(system):
+    h, collapse_ops, x = system
+    sop = liouvillian(h, collapse_ops)
+    herm = x + x.conj().T
+    scale = 1.0 + np.abs(h).sum() + sum(np.abs(c).sum() ** 2 for c in collapse_ops)
+    direct = to_hermitian(devectorize(sop @ vectorize(herm)))
+    real = hermitian_generator(sop) @ to_hermitian(herm)
+    assert np.max(np.abs(real - direct)) <= 1e-12 * scale * (1.0 + np.abs(herm).max())
 
 
 # -- validate_density_matrix -----------------------------------------------------

@@ -205,6 +205,21 @@ def test_optimum_input_validation(weak_drive_params):
         iso_cooperativity_optimum(effective, 10.0)
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize(
+    "name, search",
+    [
+        ("gamma", lambda p, v: grid_sweep(p, [v], [0.1], "S")),
+        ("kappa", lambda p, v: grid_sweep(p, [0.1], [v], "S")),
+        ("cooperativity", iso_cooperativity_optimum),
+    ],
+    ids=["gamma", "kappa", "cooperativity"],
+)
+def test_non_finite_search_inputs_rejected(weak_drive_params, name, search, value):
+    with pytest.raises(ValueError, match=f"^{name} must be"):
+        search(weak_drive_params, value)
+
+
 def test_optimum_serializes(weak_drive_params):
     optimum = iso_cooperativity_optimum(weak_drive_params, 50.0)
     payload = optimum.to_dict()
