@@ -129,6 +129,7 @@ def cmd_steady(args) -> int:
         "degenerate": False,
         "nullspace_dimension": result.nullspace_dimension,
         "method": result.method,
+        "blocks": list(result.blocks),
         "residual": result.residual,
         "clip_magnitude": result.clip_magnitude,
         "populations": {lb: population(result.rho, st) for lb, st in states.items()},
@@ -138,7 +139,8 @@ def cmd_steady(args) -> int:
         print(f"P_{label} = {report['populations'][label]:.6f}   "
               f"F_{label} = {report['fidelities'][label]:.6f}")
     print(f"residual = {result.residual:.3e}, method = {result.method}, "
-          f"nullspace dimension = {report['nullspace_dimension']}")
+          f"nullspace dimension = {report['nullspace_dimension']}, "
+          f"blocks = {' + '.join(map(str, result.blocks))}")
     if args.output is not None:
         _json_dump(report, args.output)
         print(f"wrote {args.output}")

@@ -138,12 +138,18 @@ class MasterEquationSpec:
 
     The collapse-operator order is part of the contract: downstream
     projection and reporting code identifies channels by position.
+
+    symmetry, when set, is a signed basis permutation ``(perm, sign)``, the
+    unitary ``U|k> = sign[k] |perm[k]>``, that the model is expected to be
+    invariant under; ``steady_state`` checks it on the operators and solves
+    the generator's two parity blocks separately where it holds.
     """
 
     hamiltonian: np.ndarray
     collapse_ops: tuple
     basis_labels: tuple
     params: ModelParams
+    symmetry: tuple | None = None
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -164,6 +170,13 @@ class MasterEquationSpec:
             raise ValueError(
                 f"{len(self.basis_labels)} basis labels for dimension {h.shape[0]}"
             )
+        if self.symmetry is not None:
+            perm, sign = (np.asarray(a).reshape(-1) for a in self.symmetry)
+            if perm.size != h.shape[0] or sign.size != h.shape[0]:
+                raise ValueError(
+                    f"symmetry of size {perm.size}, {sign.size} for dimension {h.shape[0]}"
+                )
+            object.__setattr__(self, "symmetry", (perm.astype(int), sign.astype(float)))
 
     @property
     def dim(self) -> int:
@@ -286,6 +299,21 @@ def full_collapse_ops(p: ModelParams):
     return tuple(ops)
 
 
+def _exchange_parity(n_max: int):
+    """Atom swap times (-1)^N as a signed permutation of the full basis.
+
+    N counts cavity photons plus atoms in level 2, so
+    ``U|a b n> = (-1)^(n + [a=2] + [b=2]) |b a n>``.  The symmetric layout
+    at phi = pi is invariant under it: the drive and every collapse
+    operator change N by one and the swap turns Omega(sigma_A - sigma_B)
+    into its negative (Buca & Prosen, NJP 14, 073007 (2012)).
+    """
+    a, b, n = np.meshgrid(range(3), range(3), range(n_max + 1), indexing="ij")
+    perm = (b * 3 + a) * (n_max + 1) + n
+    sign = (-1.0) ** (n + (a == 2) + (b == 2))
+    return perm.ravel(), sign.ravel()
+
+
 def _build_full(p: ModelParams) -> MasterEquationSpec:
     """Full atom-cavity model for either drive layout.
 
@@ -296,7 +324,8 @@ def _build_full(p: ModelParams) -> MasterEquationSpec:
     relative phase phi; the asymmetric one (klm_full) flips the microwave
     sign on atom B and pumps only atom A.  Collapse operators, in order: 2->0
     and 2->1 emission on atom A, the same on atom B (each at rate gamma/2),
-    then cavity loss sqrt(kappa) a.
+    then cavity loss sqrt(kappa) a.  The symmetric layout carries the
+    atom-exchange parity of _exchange_parity as its symmetry (exact at phi = pi).
     """
     h_strong, h_weak = full_hamiltonian_split(p)
     return MasterEquationSpec(
@@ -304,6 +333,7 @@ def _build_full(p: ModelParams) -> MasterEquationSpec:
         collapse_ops=full_collapse_ops(p),
         basis_labels=full_basis_labels(p.n_max),
         params=p,
+        symmetry=_exchange_parity(p.n_max) if p.variant is Variant.BELL_FULL else None,
     )
 
 

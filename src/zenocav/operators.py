@@ -162,12 +162,15 @@ def hermitian_generator(liouv: np.ndarray) -> np.ndarray:
     system = np.empty((n2, n2))
     for j in range(dim):
         rows = liouv[j * dim : j * dim + j + 1]
-        xd = rows[:, diag]
         xu = rows[:, upper]
         xl = rows[:, lower]
-        # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.
+        # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
+        # gathered once xl is gone, and the blocks go before the next column
+        # gathers its own, so at most three are alive at once.
         xs = xu + xl
         xu -= xl
+        del xl
+        xd = rows[:, diag]
         system[j, :re0] = xd[j].real
         system[j, re0:im0] = xs[j].real / _SQRT2
         system[j, im0:] = xu[j].imag / -_SQRT2
@@ -181,6 +184,7 @@ def hermitian_generator(liouv: np.ndarray) -> np.ndarray:
         system[im_rows, :re0] = xd[:j].imag * _SQRT2
         system[im_rows, re0:im0] = xs[:j].imag
         system[im_rows, im0:] = xu[:j].real
+        del xd, xu, xs
     return system
 
 
@@ -201,6 +205,49 @@ def from_hermitian(x) -> np.ndarray:
     rho[upper] = pairs
     rho[lower] = pairs.conj()
     return devectorize(rho)
+
+
+def parity_blocks(perm, sign):
+    """Parity basis of a signed basis involution and its two coordinate blocks.
+
+    ``U|k> = sign[k] |perm[k]>`` must square to the identity: perm an
+    involution and ``sign[k] sign[perm[k]] = 1``.  Returns ``(basis, even,
+    odd)``.  basis is real orthogonal; its rows are ``e_k`` for the states U
+    fixes (parity ``sign[k]``) and, for each pair ``k < perm[k]``,
+    ``(e_k + sign[k] e_perm[k])/sqrt2`` in row k (parity +1) and
+    ``(e_k - sign[k] e_perm[k])/sqrt2`` in row perm[k] (parity -1).  even and
+    odd are the ascending Hermitian coordinates of ``basis rho basis^T``
+    whose entry ``rho_ij`` has ``p_i p_j = +1`` (every diagonal entry, so
+    even starts with them) and ``-1``.  A generator commuting with ``U . U^dag``
+    never couples the two sets.
+    """
+    perm = np.asarray(perm, dtype=int)
+    sign = np.asarray(sign, dtype=float)
+    dim = perm.size
+    k = np.arange(dim)
+    if (
+        sign.shape != (dim,)
+        or not np.array_equal(np.sort(perm), k)
+        or not np.array_equal(perm[perm], k)
+        or not np.array_equal(sign * sign[perm], np.ones(dim))
+    ):
+        raise ValueError("symmetry must be a signed basis permutation that squares to the identity")
+    basis = np.zeros((dim, dim))
+    parity = sign.copy()
+    fixed = k[perm == k]
+    basis[fixed, fixed] = 1.0
+    lo = k[perm > k]
+    hi = perm[lo]
+    basis[lo, lo] = basis[hi, lo] = 1.0 / _SQRT2
+    basis[lo, hi] = sign[lo] / _SQRT2
+    basis[hi, hi] = -sign[lo] / _SQRT2
+    parity[lo] = 1.0
+    parity[hi] = -1.0
+    # Pairs in the order of _hermitian_coordinates; Re and Im share a parity.
+    j, i = np.tril_indices(dim, -1)
+    pair = parity[i] * parity[j]
+    coords = np.concatenate([np.ones(dim), pair, pair])
+    return basis, np.flatnonzero(coords > 0), np.flatnonzero(coords < 0)
 
 
 @dataclass(frozen=True)

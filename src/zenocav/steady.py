@@ -4,10 +4,15 @@ The stationary state solves L vec(rho) = 0 with Tr rho = 1.  The generator
 is dense (up to 2916 square at n_max = 5), and a direct LU solve is the
 workhorse.  It factors the generator in real Hermitian coordinates
 (see :mod:`zenocav.operators`), whose LU costs about a quarter of the
-complex one, with the equation for rho_00 replaced by the trace constraint.  A reciprocal-condition estimate on the
-factorization flags degenerate generators without paying for an
-eigendecomposition at every call; the residual is always checked on the
-complex generator.
+complex one, with the equation for rho_00 replaced by the trace constraint.
+A model whose operators respect its symmetry is first rotated into the
+symmetry's parity basis, where the generator splits into an even block,
+which holds every diagonal entry and so the trace constraint and the state,
+and an odd block; each is factored on its own, together at about a quarter
+of the cost of the whole.  A reciprocal-condition estimate on the
+factorizations flags degenerate generators without paying for an
+eigendecomposition at every call; the residual is always checked in
+operator form on the model's own Hamiltonian and collapse operators.
 """
 
 from __future__ import annotations
@@ -19,9 +24,15 @@ import numpy as np
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .models import MasterEquationSpec
-from .operators import PHYSICAL_TOL, devectorize, from_hermitian, hermitian_generator, liouvillian
+from .operators import (
+    PHYSICAL_TOL,
+    from_hermitian,
+    hermitian_generator,
+    liouvillian,
+    parity_blocks,
+)
 
-# Below this reciprocal condition number the trace-replaced system is treated
+# Below this reciprocal condition number a trace-replaced block is treated
 # as singular and the generator is checked for a degenerate nullspace.
 RCOND_TOL = 1e-13
 # Scale factor for the nullspace eigenvalue cutoff, relative to the
@@ -32,6 +43,11 @@ NULLSPACE_TOL_SCALE = 1e-10
 CLIP_LIMIT = PHYSICAL_TOL
 # Returned states must satisfy the stationarity equation this tightly.
 RESIDUAL_LIMIT = 1e-9
+# A model's symmetry holds when it maps each operator to itself (each
+# collapse operator to +- one of the others) within this fraction of the
+# operator's largest entry; the cross-block terms the block solve then drops
+# are rounding-sized, and the residual on the original operators bounds them.
+SYMMETRY_TOL = 1e-12
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -52,11 +68,13 @@ class SteadyStateNumericsError(RuntimeError):
 class SteadyStateResult:
     """A stationary density matrix plus solve diagnostics.
 
-    nullspace_dimension is 1 on the trace-replacement path, where a
-    nonsingular trace-replaced system proves the stationary state unique, and
-    the counted value on the eigenvector fallback.  rcond is the 1-norm
-    reciprocal condition estimate of the real Hermitian-coordinate system,
-    not of the complex generator.
+    nullspace_dimension is 1 on the trace-replacement path, where
+    nonsingular blocks (the even one trace-replaced) prove the stationary
+    state unique, and the counted value on the eigenvector fallback.  rcond
+    is the smallest of the blocks' 1-norm reciprocal condition estimates in
+    real Hermitian coordinates, not that of the complex generator.  blocks
+    holds the sizes of the systems factored: ``(even, odd)`` when the model's
+    symmetry split the generator, ``(dim**2,)`` otherwise.
     """
 
     rho: np.ndarray
@@ -65,6 +83,7 @@ class SteadyStateResult:
     rcond: float
     clip_magnitude: float
     nullspace_dimension: int
+    blocks: tuple
 
 
 def _reciprocal_condition(lu_pair, norm1: float) -> float:
@@ -75,6 +94,25 @@ def _reciprocal_condition(lu_pair, norm1: float) -> float:
     if info != 0:
         raise SteadyStateNumericsError(f"condition estimate failed (info={info})")
     return float(rcond)
+
+
+def _factor(system_t: np.ndarray):
+    """LU of a Fortran-ordered M^T in place, and M's reciprocal condition.
+
+    An exactly singular system gives (None, 0.0).
+    """
+    # The factorization overwrites the system, so take the norm first.
+    (lange,) = get_lapack_funcs(("lange",), (system_t,))
+    norm1 = float(lange("I", system_t))
+    try:
+        with warnings.catch_warnings():
+            # An exactly singular factorization is an expected outcome here;
+            # it routes to the degeneracy check.
+            warnings.simplefilter("ignore", LinAlgWarning)
+            lu_pair = lu_factor(system_t, overwrite_a=True)
+        return lu_pair, _reciprocal_condition(lu_pair, norm1)
+    except np.linalg.LinAlgError:
+        return None, 0.0
 
 
 def _repair_positivity(rho: np.ndarray):
@@ -107,20 +145,82 @@ def _nullspace_count(eigvals: np.ndarray, norm1: float, tol: float | None = None
     return int(np.sum(np.abs(eigvals) < tol))
 
 
-def _eigenvector_solve(liouv: np.ndarray):
-    """Nullspace count and slowest-eigenvector state from one eigendecomposition."""
-    eigvals, eigvecs = np.linalg.eig(liouv)
-    dimension = _nullspace_count(eigvals, float(np.linalg.norm(liouv, 1)))
+def _eigenvector_solve(generator: np.ndarray, dim: int):
+    """Nullspace count and slowest-eigenvector coordinates from one eigendecomposition.
+
+    generator is the real Hermitian-coordinate form, which has the
+    complex generator's spectrum; the state's trace is the sum of its first
+    dim (diagonal) coordinates.
+    """
+    eigvals, eigvecs = np.linalg.eig(generator)
+    dimension = _nullspace_count(eigvals, float(np.linalg.norm(generator, 1)))
     if dimension >= 2:
         raise DegenerateSteadyStateError(dimension)
-    idx = int(np.argmin(np.abs(eigvals)))
-    rho = devectorize(eigvecs[:, idx])
-    trace = np.trace(rho)
+    x = eigvecs[:, int(np.argmin(np.abs(eigvals)))]
+    trace = x[:dim].sum()
     if abs(trace) < 1e-12:
         raise SteadyStateNumericsError(
             "slowest eigenvector is traceless; cannot normalize to a state"
         )
-    return rho / trace, dimension
+    return (x / trace).real, dimension
+
+
+def _residual(h: np.ndarray, collapse_ops, rho: np.ndarray) -> float:
+    """max |-i[h, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)|."""
+    drho = -1j * (h @ rho - rho @ h)
+    for c in collapse_ops:
+        c_dag = c.conj().T
+        decay = c_dag @ c
+        drho += c @ rho @ c_dag - 0.5 * (decay @ rho + rho @ decay)
+    return float(np.max(np.abs(drho)))
+
+
+def _symmetry_holds(me: MasterEquationSpec) -> bool:
+    """U h U^dag = h, and U . U^dag maps the collapse operators one-to-one onto +-themselves."""
+    perm, sign = me.symmetry
+    signs = np.outer(sign, sign)
+
+    def image(op):
+        # (U op U^dag)[perm[a], perm[b]] = sign[a] sign[b] op[a, b].
+        out = np.empty_like(op)
+        out[np.ix_(perm, perm)] = signs * op
+        return out
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= SYMMETRY_TOL * np.max(np.abs(b))
+
+    if not close(image(me.hamiltonian), me.hamiltonian):
+        return False
+    unmatched = list(me.collapse_ops)
+    for c in me.collapse_ops:
+        mapped = image(c)
+        match = next(
+            (j for j, d in enumerate(unmatched) if close(mapped, d) or close(-mapped, d)), None
+        )
+        if match is None:
+            return False
+        del unmatched[match]
+    return True
+
+
+def _parity_frame(me: MasterEquationSpec):
+    """The basis the solve works in and the generator's coordinate blocks.
+
+    Where the model's symmetry holds on its operators: its parity basis and
+    the (even, odd) blocks; otherwise None and one block of every coordinate.
+    """
+    if me.symmetry is not None:
+        basis, even, odd = parity_blocks(*me.symmetry)
+        if _symmetry_holds(me):
+            return basis, (even, odd)
+    return None, (np.arange(me.dim**2),)
+
+
+def _operators_in(basis, me: MasterEquationSpec):
+    """The model's Hamiltonian and collapse operators in basis (None: as they are)."""
+    if basis is None:
+        return me.hamiltonian, me.collapse_ops
+    return basis @ me.hamiltonian @ basis.T, [basis @ c @ basis.T for c in me.collapse_ops]
 
 
 def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int:
@@ -136,44 +236,55 @@ def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int
 def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     """Solve for the unique stationary density matrix.
 
-    Solves the trace-replaced system in real Hermitian coordinates by LU
-    factorization.  A tiny reciprocal condition number triggers one
+    Builds the generator in real Hermitian coordinates, in the parity basis
+    when the model's symmetry holds on its operators, and LU-factors each of
+    its blocks: the even one with its rho_00 equation replaced by the trace
+    constraint, and the odd one, whose nonsingularity rules out a second,
+    odd stationary state.  The state comes from the even block.  A tiny
+    reciprocal condition number in either block triggers one
     eigendecomposition of the generator: nullspace dimension >= 2 raises
     DegenerateSteadyStateError; a unique but ill-conditioned case falls back
     to the slowest eigenvector.  The returned residual is the max-norm of
-    L vec(rho) on the complex generator, for the state actually returned.
+    the master equation's right-hand side at the state actually returned,
+    computed from the model's own operators.
     """
-    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    # M is C-ordered, so its transpose is the Fortran-ordered array LAPACK
-    # factors in place; row 0 of M, the rho_00 equation, becomes the trace
-    # constraint.  The factorization overwrites M, so take the norm first.
-    system_t = hermitian_generator(liouv).T
-    system_t[:, 0] = 0.0
-    system_t[: me.dim, 0] = 1.0
-    method = "trace_replacement"
-    dimension = 1
-    (lange,) = get_lapack_funcs(("lange",), (system_t,))
-    norm1 = float(lange("I", system_t))
-    try:
-        with warnings.catch_warnings():
-            # An exactly singular factorization is an expected outcome here;
-            # it routes to the degeneracy check below.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu_pair = lu_factor(system_t, overwrite_a=True)
-        rcond = _reciprocal_condition(lu_pair, norm1)
-    except np.linalg.LinAlgError:
-        rcond = 0.0
+    basis, blocks = _parity_frame(me)
+    # The operators and the complex generator are temporaries: the
+    # eigenvector fallback needs only the real generator, and without them
+    # the block copies stay below the peak of the conversion.
+    generator = hermitian_generator(liouvillian(*_operators_in(basis, me)))
+    factors = []
+    for k, idx in enumerate(blocks):
+        # The gathered block is C-ordered, so its transpose is the
+        # Fortran-ordered array LAPACK factors in place.  A single block is
+        # the whole generator, and a plain copy is three times faster than
+        # the gather.
+        whole = idx.size == generator.shape[0]
+        system_t = (generator.copy() if whole else generator[np.ix_(idx, idx)]).T
+        if k == 0:
+            # Row 0 of the even block, the rho_00 equation, becomes the trace
+            # constraint over the diagonal coordinates that open the block.
+            system_t[:, 0] = 0.0
+            system_t[: me.dim, 0] = 1.0
+        factors.append(_factor(system_t))
+    rcond = min(block_rcond for _, block_rcond in factors)
     if rcond < RCOND_TOL:
         method = "eigenvector"
-        rho, dimension = _eigenvector_solve(liouv)
+        x, dimension = _eigenvector_solve(generator, me.dim)
     else:
-        rhs = np.zeros(system_t.shape[0])
+        method = "trace_replacement"
+        dimension = 1
+        rhs = np.zeros(blocks[0].size)
         rhs[0] = 1.0
+        x = np.zeros(generator.shape[0])
         # trans=1 solves with (M^T)^T = M.
-        rho = from_hermitian(lu_solve(lu_pair, rhs, trans=1))
+        x[blocks[0]] = lu_solve(factors[0][0], rhs, trans=1)
+    rho = from_hermitian(x)
+    if basis is not None:
+        rho = basis.T @ rho @ basis
 
     rho, clip_magnitude = _repair_positivity(rho)
-    residual = float(np.max(np.abs(liouv @ rho.flatten(order="F"))))
+    residual = _residual(me.hamiltonian, me.collapse_ops, rho)
     if residual > RESIDUAL_LIMIT:
         raise SteadyStateNumericsError(
             f"stationary-state residual {residual:.3e} exceeds {RESIDUAL_LIMIT:.1e}; "
@@ -186,4 +297,5 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         rcond=rcond,
         clip_magnitude=clip_magnitude,
         nullspace_dimension=dimension,
+        blocks=tuple(int(idx.size) for idx in blocks),
     )

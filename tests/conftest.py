@@ -53,6 +53,13 @@ def random_density_matrix(rng, dim: int) -> np.ndarray:
     return rho / np.trace(rho).real
 
 
+def signed_permutation(perm, sign) -> np.ndarray:
+    """The unitary U with U|k> = sign[k] |perm[k]>, as a dense matrix."""
+    u = np.zeros((len(perm), len(perm)))
+    u[perm, np.arange(len(perm))] = sign
+    return u
+
+
 def traced_peak(func, *args):
     """Call func(*args); return its result and the tracemalloc peak in bytes.
 

@@ -36,9 +36,11 @@ def test_steady_on_bundled_platform_preset(tmp_path, capsys):
     assert code == 0
     out = capsys.readouterr().out
     assert "P_S = " in out
+    assert "blocks = 369 + 360" in out
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["degenerate"] is False
     assert report["nullspace_dimension"] == 1
+    assert report["blocks"] == [369, 360]
     assert report["residual"] < 1e-9
     assert report["fidelities"]["S"] > 0.99
     assert report["populations"]["S"] == pytest.approx(report["fidelities"]["S"] ** 2)

@@ -22,7 +22,7 @@ from zenocav.models import (
 )
 from zenocav.operators import hermiticity_defect
 
-from conftest import random_density_matrix
+from conftest import random_density_matrix, signed_permutation
 
 SQ2 = math.sqrt(2.0)
 
@@ -319,3 +319,40 @@ def test_preset_variant_switch():
     klm = preset.with_variant(Variant.KLM_FULL)
     assert klm.variant is Variant.KLM_FULL
     assert klm.gamma == preset.gamma
+
+
+# -- exchange symmetry -----------------------------------------------------------
+
+
+def transformed(op, symmetry):
+    u = signed_permutation(*symmetry)
+    return u @ op @ u.T
+
+
+def test_bell_full_is_exchange_parity_symmetric():
+    # Atom swap times (-1)^N at phi = pi: h is invariant and the collapse
+    # operators map to minus the other atom's emission and minus the cavity loss.
+    me = build_model(params(Variant.BELL_FULL))
+    perm, sign = me.symmetry
+    assert perm[full_index(1, 2, 0)] == full_index(2, 1, 0)
+    assert sign[full_index(1, 2, 0)] == -1.0 and sign[full_index(0, 1, 1)] == -1.0
+    assert np.max(np.abs(transformed(me.hamiltonian, me.symmetry) - me.hamiltonian)) < 1e-15
+    images = [2, 3, 0, 1, 4]
+    for c, j in zip(me.collapse_ops, images):
+        assert np.array_equal(transformed(c, me.symmetry), -me.collapse_ops[j])
+
+
+def test_drive_phase_breaks_exchange_parity():
+    me = build_model(params(Variant.BELL_FULL, phi=0.5))
+    assert np.max(np.abs(transformed(me.hamiltonian, me.symmetry) - me.hamiltonian)) > 0.1
+
+
+@pytest.mark.parametrize("variant", [Variant.KLM_FULL, Variant.BELL_EFFECTIVE, Variant.KLM_EFFECTIVE])
+def test_other_variants_carry_no_symmetry(variant):
+    assert build_model(params(variant)).symmetry is None
+
+
+def test_symmetry_size_must_match_dimension():
+    me = build_model(params(Variant.BELL_EFFECTIVE))
+    with pytest.raises(ValueError, match="symmetry"):
+        replace(me, symmetry=([1, 0], [1, 1]))

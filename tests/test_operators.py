@@ -24,13 +24,14 @@ from zenocav.operators import (
     hermiticity_defect,
     operator_from_dict,
     operator_to_dict,
+    parity_blocks,
     tensor_product,
     to_hermitian,
     validate_density_matrix,
     vectorize,
 )
 
-from conftest import TRANSFER_MIXTURE, random_density_matrix, traced_peak
+from conftest import TRANSFER_MIXTURE, random_density_matrix, signed_permutation, traced_peak
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
@@ -302,6 +303,48 @@ def test_hermitian_generator_acts_as_the_generator(system):
     direct = to_hermitian(devectorize(sop @ vectorize(herm)))
     real = hermitian_generator(sop) @ to_hermitian(herm)
     assert np.max(np.abs(real - direct)) <= 1e-12 * scale * (1.0 + np.abs(herm).max())
+
+
+@pytest.mark.parametrize(
+    "perm, sign",
+    [
+        ([1, 0, 2, 4, 3], [1, 1, -1, -1, -1]),
+        ([0, 1, 2], [1, -1, 1]),
+        ([2, 3, 0, 1], [-1, 1, -1, 1]),
+    ],
+)
+def test_parity_blocks_diagonalize_the_symmetry(rng, perm, sign):
+    # In the parity basis U . U^dag keeps every even coordinate and negates
+    # every odd one.
+    dim = len(perm)
+    basis, even, odd = parity_blocks(perm, sign)
+    u = signed_permutation(perm, sign)
+    assert np.allclose(basis @ basis.T, np.eye(dim), atol=1e-15)
+    assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(dim**2))
+    assert np.array_equal(even[:dim], np.arange(dim))
+    rho = random_density_matrix(rng, dim)
+    before = to_hermitian(basis @ rho @ basis.T)
+    after = to_hermitian(basis @ (u @ rho @ u.T) @ basis.T)
+    assert np.max(np.abs(after[even] - before[even])) <= 1e-15
+    assert np.max(np.abs(after[odd] + before[odd])) <= 1e-15
+
+
+def test_parity_blocks_of_the_exchange_symmetry():
+    # bell_full at n_max = 2: 15 even and 12 odd states, so 15^2 + 12^2 even
+    # and 2 * 15 * 12 odd coordinates.
+    me = build_model(resolve_config("fig3").params)
+    _, even, odd = parity_blocks(*me.symmetry)
+    assert (even.size, odd.size) == (369, 360)
+
+
+@pytest.mark.parametrize(
+    "perm, sign",
+    [([1, 2, 0], [1, 1, 1]), ([1, 0], [1, -1]), ([0, 0], [1, 1]), ([1, 0], [1, 1, 1])],
+    ids=["three-cycle", "pair-signs-differ", "not-a-permutation", "sign-length"],
+)
+def test_parity_blocks_reject_non_involutions(perm, sign):
+    with pytest.raises(ValueError, match="squares to the identity"):
+        parity_blocks(perm, sign)
 
 
 # -- validate_density_matrix -----------------------------------------------------

@@ -9,6 +9,7 @@ from hypothesis.extra import numpy as hnp
 
 from zenocav import (
     DegenerateSteadyStateError,
+    SteadyStateNumericsError,
     ModelParams,
     Variant,
     build_model,
@@ -23,7 +24,7 @@ import zenocav.steady as steady_mod
 from zenocav.operators import devectorize, hermiticity_defect, vectorize
 from zenocav.steady import nullspace_dimension
 
-from conftest import traced_peak
+from conftest import random_density_matrix, signed_permutation, traced_peak
 
 
 def toy_model(h, collapse_ops=()):
@@ -196,19 +197,131 @@ def test_eigenvector_fallback_decomposes_once(monkeypatch):
     assert np.array_equal(result.rho, expected.rho)
 
 
-def test_solve_assembles_once_and_factors_one_real_system(monkeypatch):
-    # One generator and one LU of a real square array per solve: the traced
-    # benchmark reads its assembly and factor spans from these two calls.
-    me = build_model(resolve_config("fig3").params)
+@pytest.mark.parametrize(
+    "params, sizes",
+    [
+        (resolve_config("fig3").params, (369, 360)),
+        (resolve_config("fig4c").params, (729,)),
+        (replace(resolve_config("fig3").params, phi=0.5), (729,)),
+    ],
+    ids=["fig3-bell-parity-blocks", "fig4c-klm", "fig3-bell-phi0.5"],
+)
+def test_solve_assembles_once_and_factors_each_block(monkeypatch, params, sizes):
+    # One generator and one real LU per block: the parity-symmetric bell
+    # model at phi = pi splits in two, klm_full and a drive phase that breaks
+    # the symmetry stay one block.  The traced benchmark reads its assembly
+    # and factor spans from these calls.
     calls = {"liouvillian": [], "lu_factor": []}
     for name, seen in calls.items():
         counting(monkeypatch, steady_mod, name, seen)
-    result = steady_state(me)
+    result = steady_state(build_model(params))
     assert result.method == "trace_replacement"
     assert len(calls["liouvillian"]) == 1
-    ((system,),) = calls["lu_factor"]
-    assert system.dtype == np.float64
-    assert system.shape == (me.dim**2, me.dim**2)
+    systems = [args[0] for args in calls["lu_factor"]]
+    assert all(system.dtype == np.float64 for system in systems)
+    assert tuple(system.shape for system in systems) == tuple((n, n) for n in sizes)
+    assert result.blocks == sizes
+
+
+def test_model_without_symmetry_is_one_block(weak_drive_params):
+    me = replace(build_model(weak_drive_params), symmetry=None)
+    assert steady_state(me).blocks == (me.dim**2,)
+    assert steady_state(damping_model(0.7)).blocks == (4,)
+
+
+PARITY_CASES = [
+    (name, n_max)
+    for name in ("fig3", "fig2b", "preset1", "preset2", "preset3")
+    for n_max in (2, 3, 4)
+] + [("preset1", 5)]
+
+
+@pytest.mark.parametrize("name, n_max", PARITY_CASES)
+def test_parity_blocks_match_single_block(name, n_max):
+    params = replace(resolve_config(name).params.with_variant(Variant.BELL_FULL), n_max=n_max)
+    me = build_model(params)
+    blocks = steady_state(me)
+    whole = steady_state(replace(me, symmetry=None))
+    assert len(blocks.blocks) == 2 and sum(blocks.blocks) == me.dim**2
+    assert whole.blocks == (me.dim**2,)
+    assert np.max(np.abs(blocks.rho - whole.rho)) <= 1e-12
+
+
+def swap_symmetric_toy(h, collapse_ops):
+    """A dim-2 toy model with the exchange symmetry U = swap of |0>, |1>."""
+    return replace(toy_model(h, collapse_ops), symmetry=([1, 0], [1, 1]))
+
+
+def test_odd_block_degeneracy_is_not_missed(monkeypatch):
+    # Pure dephasing along sigma_z, which the swap maps to -sigma_z: the even
+    # block (populations of |+>, |->) is nonsingular after trace replacement,
+    # but the odd block holds the second stationary state |0><0| - |1><1|.
+    gamma = 0.3
+    sigma_z = np.diag([1.0, -1.0])
+    me = swap_symmetric_toy(np.zeros((2, 2)), [math.sqrt(gamma) * sigma_z])
+    calls = []
+    counting(monkeypatch, steady_mod, "lu_factor", calls)
+    with pytest.raises(DegenerateSteadyStateError) as excinfo:
+        steady_state(me)
+    assert [args[0].shape for args in calls] == [(2, 2), (2, 2)]
+    assert excinfo.value.dimension == 2
+    with pytest.raises(DegenerateSteadyStateError):
+        steady_state(replace(me, symmetry=None))
+
+
+def test_eigenvector_fallback_on_parity_blocks():
+    # Feeble decay both ways between |0> and |1>, which the swap exchanges:
+    # the blocks are too ill-conditioned to solve, and the fallback's state,
+    # found in the parity basis, comes back as the unique I/2.
+    rate = math.sqrt(1e-15)
+    lower = np.array([[0.0, rate], [0.0, 0.0]])
+    result = steady_state(swap_symmetric_toy(np.zeros((2, 2)), [lower, lower.T]))
+    assert result.blocks == (2, 2)
+    assert result.method == "eigenvector"
+    assert result.nullspace_dimension == 1
+    assert np.max(np.abs(result.rho - np.eye(2) / 2)) < 1e-9
+
+
+def test_broken_symmetry_falls_back_to_one_block():
+    # The swap would exchange the two decay channels, but their rates differ.
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = swap_symmetric_toy(np.zeros((2, 2)), [0.5 * lower, 0.7 * lower.T])
+    result = steady_state(me)
+    assert result.blocks == (4,)
+    assert np.array_equal(result.rho, steady_state(replace(me, symmetry=None)).rho)
+
+
+def assert_residuals_match(h, collapse_ops, rho):
+    """The operator-form residual against max |L vec(rho)|, relative to the terms' size."""
+    scale = (np.linalg.norm(h) + sum(np.linalg.norm(c) ** 2 for c in collapse_ops)) * np.linalg.norm(rho)
+    reference = float(np.max(np.abs(liouvillian(h, collapse_ops) @ vectorize(rho))))
+    assert steady_mod._residual(h, collapse_ops, rho) == pytest.approx(
+        reference, rel=1e-12, abs=1e-12 * scale
+    )
+
+
+@pytest.mark.parametrize("name", ["fig3", "preset1"])
+def test_operator_residual_matches_generator_residual(name, rng):
+    me = build_model(resolve_config(name).params)
+    result = steady_state(me)
+    assert_residuals_match(me.hamiltonian, me.collapse_ops, result.rho)
+    perturbed = result.rho + 1e-3 * random_density_matrix(rng, me.dim)
+    assert_residuals_match(me.hamiltonian, me.collapse_ops, perturbed)
+
+
+def test_residual_limit_fires_on_perturbed_state(monkeypatch):
+    # A state knocked off stationarity must not be returned.
+    me = build_model(resolve_config("fig3").params)
+    real_from_hermitian = steady_mod.from_hermitian
+
+    def perturbed(x):
+        rho = real_from_hermitian(x)
+        rho[0, 0] += 1e-6
+        return rho
+
+    monkeypatch.setattr(steady_mod, "from_hermitian", perturbed)
+    with pytest.raises(SteadyStateNumericsError, match="residual"):
+        steady_state(me)
 
 
 @st.composite
@@ -234,6 +347,51 @@ def test_steady_state_is_the_null_vector(system):
     rho = steady_state(toy_model(h, collapse_ops)).rho
     assert np.max(np.abs(rho - null)) <= 1e-10
     assert hermiticity_defect(rho) <= 1e-14
+
+
+@given(open_systems(), st.integers(0, 2**32 - 1))
+def test_operator_residual_matches_on_random_systems(system, seed):
+    h, collapse_ops = system
+    rho = random_density_matrix(np.random.default_rng(seed), h.shape[0])
+    assert_residuals_match(h, collapse_ops, rho)
+
+
+@st.composite
+def symmetric_open_systems(draw):
+    """A random model invariant under a random signed basis involution.
+
+    The involution pairs some states and fixes the rest (with random signs,
+    equal within a pair); h is symmetrized, and each drawn collapse operator
+    comes with its image, so the dissipator is invariant too.
+    """
+    dim = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(dim)))
+    n_pairs = draw(st.integers(1, dim // 2))
+    perm = np.arange(dim)
+    for a, b in zip(order[: 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
+        perm[a], perm[b] = b, a
+    sign = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim)))
+    sign[perm > np.arange(dim)] = sign[perm[perm > np.arange(dim)]]
+    entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    square = hnp.arrays(complex, (dim, dim), elements=entries)
+    u = signed_permutation(perm, sign)
+    a = draw(square)
+    h = a + a.conj().T
+    ops = []
+    for c in draw(st.lists(square, min_size=1, max_size=2)):
+        ops += [c, u @ c @ u.T]
+    return replace(toy_model((h + u @ h @ u.T) / 2, ops), symmetry=(perm, sign))
+
+
+@given(symmetric_open_systems())
+def test_parity_blocks_match_single_block_on_random_systems(me):
+    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
+    sing = np.linalg.svd(liouv, compute_uv=False)
+    assume(sing[-2] > 1e-3 * sing[0] and sing[-1] < 1e-12 * sing[0])
+    blocks = steady_state(me)
+    whole = steady_state(replace(me, symmetry=None))
+    assert len(blocks.blocks) == 2
+    assert np.max(np.abs(blocks.rho - whole.rho)) <= 1e-10
 
 
 def test_truncation_insensitivity(weak_drive_params):
