@@ -13,6 +13,10 @@ of the cost of the whole.  A reciprocal-condition estimate on the
 factorizations flags degenerate generators without paying for an
 eigendecomposition at every call; the residual is always checked in
 operator form on the model's own Hamiltonian and collapse operators.
+Every LAPACK call goes through scipy.linalg, whose OpenBLAS runs the LU:
+pip-installed numpy and scipy each load their own OpenBLAS, and a numpy
+call between two solves wakes numpy's worker threads, which then spin on
+the cores the next LU needs.
 """
 
 from __future__ import annotations
@@ -21,6 +25,7 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .models import MasterEquationSpec
@@ -117,7 +122,9 @@ def _factor(system_t: np.ndarray):
 
 def _repair_positivity(rho: np.ndarray):
     rho = (rho + rho.conj().T) / 2.0
-    eigvals, eigvecs = np.linalg.eigh(rho)
+    # zheevd, the routine numpy's eigh calls, gives the same state bit for
+    # bit; scipy's default evr driver moves it by rounding.
+    eigvals, eigvecs = scipy.linalg.eigh(rho, driver="evd")
     min_eig = float(eigvals.min())
     if min_eig >= 0.0:
         return rho, 0.0
@@ -152,7 +159,7 @@ def _eigenvector_solve(generator: np.ndarray, dim: int):
     complex generator's spectrum; the state's trace is the sum of its first
     dim (diagonal) coordinates.
     """
-    eigvals, eigvecs = np.linalg.eig(generator)
+    eigvals, eigvecs = scipy.linalg.eig(generator)
     dimension = _nullspace_count(eigvals, float(np.linalg.norm(generator, 1)))
     if dimension >= 2:
         raise DegenerateSteadyStateError(dimension)
@@ -230,7 +237,7 @@ def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int
     (no Hamiltonian, no dissipation) fixes every state: returns dim**2.
     """
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    return _nullspace_count(np.linalg.eigvals(liouv), float(np.linalg.norm(liouv, 1)), tol)
+    return _nullspace_count(scipy.linalg.eigvals(liouv), float(np.linalg.norm(liouv, 1)), tol)
 
 
 def steady_state(me: MasterEquationSpec) -> SteadyStateResult:

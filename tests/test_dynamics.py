@@ -14,6 +14,7 @@ from zenocav import (
     named_state,
     resolve_config,
 )
+import zenocav.dynamics as dynamics
 from zenocav.dynamics import Trajectory, compare_trajectories, rk4_propagator
 from zenocav.models import MasterEquationSpec, ModelParams, Variant, build_model
 from zenocav.operators import vectorize
@@ -251,6 +252,38 @@ def test_evolve_matches_naive_stepper(system):
     assert np.max(np.abs(traj.records["O"] - expected)) <= 1e-10
     assert np.max(np.abs(traj.records["I"] - 1.0)) <= 1e-12
     assert abs(np.trace(traj.final_state) - 1.0) <= 1e-12
+
+
+@st.composite
+def lowering_jumps(draw):
+    """sqrt(rate) |lower><upper| between random levels at dims 2-4, rate 0.5-5."""
+    dim = draw(st.integers(2, 4))
+    upper, lower = draw(st.permutations(range(dim)))[:2]
+    rate = draw(st.floats(0.5, 5.0))
+    jump = np.zeros((dim, dim))
+    jump[lower, upper] = math.sqrt(rate)
+    return jump, upper, rate
+
+
+@given(lowering_jumps())
+def test_population_guard_fires_on_negative_rate_dissipator(system):
+    # -D[L] keeps the trace, so the trace guard stays quiet, but it pumps
+    # the level L lowers from past population 1; +D[L] is a physical decay.
+    jump, upper, rate = system
+    dim = jump.shape[0]
+    projector = np.zeros((dim, dim))
+    projector[upper, upper] = 1.0
+    label = f"P{upper}"
+    me = toy_model(np.zeros((dim, dim)), [jump])
+
+    def run():
+        return evolve(me, projector.astype(complex), 1.0, 0.01, [(label, projector)])
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "liouvillian", lambda h, ops: -liouvillian(h, ops))
+        with pytest.raises(IntegrationError, match=rf"population '{label}' = .* at t=\d"):
+            run()
+    assert run().value(label) == pytest.approx(math.exp(-rate), rel=1e-6)
 
 
 def test_rejects_bad_run_parameters(rng):

@@ -3,6 +3,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -188,13 +189,52 @@ def test_eigenvector_fallback_decomposes_once(monkeypatch):
     expected = steady_state(me)
     calls = {"liouvillian": [], "eig": [], "eigvals": []}
     counting(monkeypatch, steady_mod, "liouvillian", calls["liouvillian"])
-    counting(monkeypatch, np.linalg, "eig", calls["eig"])
-    counting(monkeypatch, np.linalg, "eigvals", calls["eigvals"])
+    counting(monkeypatch, scipy.linalg, "eig", calls["eig"])
+    counting(monkeypatch, scipy.linalg, "eigvals", calls["eigvals"])
     result = steady_state(me)
     assert {k: len(v) for k, v in calls.items()} == {"liouvillian": 1, "eig": 1, "eigvals": 0}
     assert result.method == expected.method == "eigenvector"
     assert result.nullspace_dimension == expected.nullspace_dimension == 1
     assert np.array_equal(result.rho, expected.rho)
+
+
+# The numpy.linalg functions that call LAPACK; norm's 1-norm does not.
+NUMPY_LAPACK = (
+    "eigh", "eig", "eigvals", "eigvalsh", "svd", "solve",
+    "inv", "lstsq", "qr", "cholesky", "det", "slogdet",
+)
+
+
+def solved_blocks(me):
+    return steady_state(me).blocks
+
+
+@pytest.mark.parametrize(
+    "me, run, expected",
+    [
+        (build_model(resolve_config("fig3").params), solved_blocks, (369, 360)),
+        (build_model(resolve_config("fig4c").params), solved_blocks, (729,)),
+        (damping_model(1e-15), lambda me: steady_state(me).method, "eigenvector"),
+        (damping_model(0.5), nullspace_dimension, 1),
+    ],
+    ids=["fig3-bell-parity-blocks", "fig4c-klm", "eigenvector-fallback", "nullspace-dimension"],
+)
+def test_solve_calls_no_numpy_lapack(monkeypatch, me, run, expected):
+    # A pip-installed numpy and scipy each load their own OpenBLAS, two
+    # runtimes in one process, each with its own worker threads.  The LU
+    # runs on scipy's; a numpy LAPACK call between two solves wakes numpy's
+    # workers, which busy-wait on the cores the next LU needs.  Every LAPACK
+    # call of the solve therefore goes through scipy.linalg.
+
+    def refuse(name):
+        def call(*args, **kwargs):
+            raise AssertionError(f"numpy.linalg.{name} called")
+
+        return call
+
+    for name in NUMPY_LAPACK:
+        monkeypatch.setattr(np.linalg, name, refuse(name))
+    assert run(me) == expected
 
 
 @pytest.mark.parametrize(
