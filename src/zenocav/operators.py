@@ -35,6 +35,11 @@ import numpy as np
 ALGEBRAIC_TOL = 1e-10
 PHYSICAL_TOL = 1e-9
 INTEGRATION_TOL = 1e-6
+# A symmetry holds when it maps each operator to itself (each collapse
+# operator to +- one of the others) within this fraction of the operator's
+# largest entry; the cross-block terms a block-wise solve or evolution then
+# drops are rounding-sized.
+SYMMETRY_TOL = 1e-12
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -54,11 +59,6 @@ def tensor_product(a, b) -> np.ndarray:
     subsystem.
     """
     return np.kron(_as_square(a, "a"), _as_square(b, "b"))
-
-
-def dagger(a) -> np.ndarray:
-    """Conjugate transpose."""
-    return _as_square(a).conj().T.copy()
 
 
 def hermiticity_defect(a) -> float:
@@ -250,6 +250,47 @@ def parity_blocks(perm, sign):
     return basis, np.flatnonzero(coords > 0), np.flatnonzero(coords < 0)
 
 
+def parity_frame(h, collapse_ops, symmetry):
+    """The frame a solver works in: ``(basis, blocks, h, collapse_ops)``.
+
+    Where symmetry, a signed basis involution ``(perm, sign)`` as in
+    :func:`parity_blocks`, holds on the operators (``U h U^dag = h``, and
+    ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
+    its parity basis, the (even, odd) coordinate blocks and the operators
+    rotated into that basis.  Otherwise, symmetry None included: basis None,
+    one block of every coordinate and the operators as they are.
+    """
+    dim = h.shape[0]
+    whole = None, (np.arange(dim**2),), h, collapse_ops
+    if symmetry is None:
+        return whole
+    perm, sign = symmetry
+    basis, even, odd = parity_blocks(perm, sign)
+    signs = np.outer(sign, sign)
+
+    def image(op):
+        # (U op U^dag)[perm[a], perm[b]] = sign[a] sign[b] op[a, b].
+        out = np.empty_like(op)
+        out[np.ix_(perm, perm)] = signs * op
+        return out
+
+    def close(a, b):
+        return np.max(np.abs(a - b)) <= SYMMETRY_TOL * np.max(np.abs(b))
+
+    if not close(image(h), h):
+        return whole
+    unmatched = list(collapse_ops)
+    for c in collapse_ops:
+        mapped = image(c)
+        match = next(
+            (j for j, d in enumerate(unmatched) if close(mapped, d) or close(-mapped, d)), None
+        )
+        if match is None:
+            return whole
+        del unmatched[match]
+    return basis, (even, odd), basis @ h @ basis.T, [basis @ c @ basis.T for c in collapse_ops]
+
+
 @dataclass(frozen=True)
 class DensityMatrixReport:
     """Diagnostics from :func:`validate_density_matrix`; never raises."""
@@ -293,16 +334,3 @@ def operator_to_dict(a) -> dict:
         "entries": [[float(z.real), float(z.imag)] for z in a.ravel(order="C")],
     }
 
-
-def operator_from_dict(d) -> np.ndarray:
-    """Inverse of :func:`operator_to_dict`, with shape and finiteness checks."""
-    dim = int(d["dim"])
-    entries = d["entries"]
-    if dim <= 0:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if len(entries) != dim * dim:
-        raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
-    flat = np.array([complex(re, im) for re, im in entries])
-    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
-        raise ValueError("operator entries must be finite")
-    return flat.reshape((dim, dim))

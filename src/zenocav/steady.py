@@ -34,7 +34,7 @@ from .operators import (
     from_hermitian,
     hermitian_generator,
     liouvillian,
-    parity_blocks,
+    parity_frame,
 )
 
 # Below this reciprocal condition number a trace-replaced block is treated
@@ -48,11 +48,6 @@ NULLSPACE_TOL_SCALE = 1e-10
 CLIP_LIMIT = PHYSICAL_TOL
 # Returned states must satisfy the stationarity equation this tightly.
 RESIDUAL_LIMIT = 1e-9
-# A model's symmetry holds when it maps each operator to itself (each
-# collapse operator to +- one of the others) within this fraction of the
-# operator's largest entry; the cross-block terms the block solve then drops
-# are rounding-sized, and the residual on the original operators bounds them.
-SYMMETRY_TOL = 1e-12
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -182,54 +177,6 @@ def _residual(h: np.ndarray, collapse_ops, rho: np.ndarray) -> float:
     return float(np.max(np.abs(drho)))
 
 
-def _symmetry_holds(me: MasterEquationSpec) -> bool:
-    """U h U^dag = h, and U . U^dag maps the collapse operators one-to-one onto +-themselves."""
-    perm, sign = me.symmetry
-    signs = np.outer(sign, sign)
-
-    def image(op):
-        # (U op U^dag)[perm[a], perm[b]] = sign[a] sign[b] op[a, b].
-        out = np.empty_like(op)
-        out[np.ix_(perm, perm)] = signs * op
-        return out
-
-    def close(a, b):
-        return np.max(np.abs(a - b)) <= SYMMETRY_TOL * np.max(np.abs(b))
-
-    if not close(image(me.hamiltonian), me.hamiltonian):
-        return False
-    unmatched = list(me.collapse_ops)
-    for c in me.collapse_ops:
-        mapped = image(c)
-        match = next(
-            (j for j, d in enumerate(unmatched) if close(mapped, d) or close(-mapped, d)), None
-        )
-        if match is None:
-            return False
-        del unmatched[match]
-    return True
-
-
-def _parity_frame(me: MasterEquationSpec):
-    """The basis the solve works in and the generator's coordinate blocks.
-
-    Where the model's symmetry holds on its operators: its parity basis and
-    the (even, odd) blocks; otherwise None and one block of every coordinate.
-    """
-    if me.symmetry is not None:
-        basis, even, odd = parity_blocks(*me.symmetry)
-        if _symmetry_holds(me):
-            return basis, (even, odd)
-    return None, (np.arange(me.dim**2),)
-
-
-def _operators_in(basis, me: MasterEquationSpec):
-    """The model's Hamiltonian and collapse operators in basis (None: as they are)."""
-    if basis is None:
-        return me.hamiltonian, me.collapse_ops
-    return basis @ me.hamiltonian @ basis.T, [basis @ c @ basis.T for c in me.collapse_ops]
-
-
 def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int:
     """Number of generator eigenvalues within tol of zero.
 
@@ -255,11 +202,14 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     the master equation's right-hand side at the state actually returned,
     computed from the model's own operators.
     """
-    basis, blocks = _parity_frame(me)
+    basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
     # The operators and the complex generator are temporaries: the
     # eigenvector fallback needs only the real generator, and without them
     # the block copies stay below the peak of the conversion.
-    generator = hermitian_generator(liouvillian(*_operators_in(basis, me)))
+    liouv = liouvillian(*operators)
+    del operators
+    generator = hermitian_generator(liouv)
+    del liouv
     factors = []
     for k, idx in enumerate(blocks):
         # The gathered block is C-ordered, so its transpose is the

@@ -1,10 +1,14 @@
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from zenocav import ModelParams, Variant
+from zenocav.models import MasterEquationSpec
 
 # Property tests draw the same examples on every run, with no per-example
 # deadline: the suite runs on shared hosts where timing jitter is large.
@@ -58,6 +62,55 @@ def signed_permutation(perm, sign) -> np.ndarray:
     u = np.zeros((len(perm), len(perm)))
     u[perm, np.arange(len(perm))] = sign
     return u
+
+
+def toy_model(h, collapse_ops=()):
+    dim = np.asarray(h).shape[0]
+    return MasterEquationSpec(
+        hamiltonian=h,
+        collapse_ops=tuple(collapse_ops),
+        basis_labels=tuple(str(i) for i in range(dim)),
+        params=None,
+    )
+
+
+def damping_model(gamma):
+    lower = np.zeros((2, 2))
+    lower[0, 1] = math.sqrt(gamma)
+    return toy_model(np.zeros((2, 2)), [lower])
+
+
+@st.composite
+def symmetric_open_systems(draw):
+    """A random model invariant under a random signed basis involution.
+
+    The involution pairs some states and fixes the rest (with random signs,
+    equal within a pair); h is symmetrized, and each drawn collapse operator
+    comes with its image, so the dissipator is invariant too.
+    """
+    dim = draw(st.integers(2, 5))
+    order = draw(st.permutations(range(dim)))
+    n_pairs = draw(st.integers(1, dim // 2))
+    perm = np.arange(dim)
+    for a, b in zip(order[: 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
+        perm[a], perm[b] = b, a
+    sign = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim)))
+    sign[perm > np.arange(dim)] = sign[perm[perm > np.arange(dim)]]
+    entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
+    square = hnp.arrays(complex, (dim, dim), elements=entries)
+    u = signed_permutation(perm, sign)
+    a = draw(square)
+    h = a + a.conj().T
+    ops = []
+    for c in draw(st.lists(square, min_size=1, max_size=2)):
+        ops += [c, u @ c @ u.T]
+    return MasterEquationSpec(
+        hamiltonian=(h + u @ h @ u.T) / 2,
+        collapse_ops=tuple(ops),
+        basis_labels=tuple(str(i) for i in range(dim)),
+        params=None,
+        symmetry=(perm, sign),
+    )
 
 
 def traced_peak(func, *args):

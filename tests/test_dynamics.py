@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,30 +17,20 @@ from zenocav import (
 )
 import zenocav.dynamics as dynamics
 from zenocav.dynamics import Trajectory, compare_trajectories, rk4_propagator
-from zenocav.models import MasterEquationSpec, ModelParams, Variant, build_model
-from zenocav.operators import vectorize
+from zenocav.models import ModelParams, Variant, build_model
+from zenocav.operators import parity_frame, vectorize
 
-from conftest import random_density_matrix, traced_peak
+from conftest import (
+    damping_model,
+    random_density_matrix,
+    symmetric_open_systems,
+    toy_model,
+    traced_peak,
+)
 
 P0 = np.diag([1.0, 0.0])
 P1 = np.diag([0.0, 1.0])
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]])
-
-
-def toy_model(h, collapse_ops=()):
-    dim = np.asarray(h).shape[0]
-    return MasterEquationSpec(
-        hamiltonian=h,
-        collapse_ops=tuple(collapse_ops),
-        basis_labels=tuple(str(i) for i in range(dim)),
-        params=None,
-    )
-
-
-def damping_model(gamma):
-    lower = np.zeros((2, 2))
-    lower[0, 1] = math.sqrt(gamma)
-    return toy_model(np.zeros((2, 2)), [lower])
 
 
 def naive_rk4(liouv, vec, dt, steps):
@@ -90,13 +81,21 @@ def test_propagator_holds_one_product():
 
 
 @pytest.mark.parametrize(
-    "t_end, bound", [(None, 2.25), (10.001, 2.75)], ids=["stride", "remainder"]
+    "preset, t_end, bound",
+    [
+        pytest.param("fig1c", None, 2.25, id="stride"),
+        pytest.param("fig1c", 10.001, 2.75, id="remainder"),
+        pytest.param("fig4c", None, 2.25, id="one-block-stride"),
+        pytest.param("fig4c", 10.001, 2.75, id="one-block-remainder"),
+    ],
 )
-def test_evolve_memory_peak(t_end, bound):
+def test_evolve_memory_peak(preset, t_end, bound):
     # In complex generator sizes: the stride power runs on the real generator,
     # half that size, as the step propagator and matrix_power's three
     # operands; a remainder step keeps one more real propagator alive.
-    config = resolve_config("fig1c")
+    # fig1c evolves in two parity blocks of about a quarter of that each;
+    # fig4c (klm_full) has no symmetry and evolves as one block.
+    config = resolve_config(preset)
     run, params = config.run, config.params
     me = build_model(params)
     rho0 = initial_density_matrix(run.initial_state, params)
@@ -106,6 +105,30 @@ def test_evolve_memory_peak(t_end, bound):
     )
     assert traj.final_report.passed
     assert peak <= bound * params.dim**4 * 16
+
+
+@pytest.mark.parametrize(
+    "preset, phi, sizes",
+    [("fig1c", None, [369, 360]), ("fig4c", None, [729]), ("fig1c", 0.5, [729])],
+    ids=["fig1c-parity-blocks", "fig4c-klm", "fig1c-phi0.5"],
+)
+def test_evolve_propagates_each_parity_block(monkeypatch, preset, phi, sizes):
+    # bell_full at phi = pi evolves its even and odd blocks on their own;
+    # klm_full and a drive phase that breaks the symmetry stay one block.
+    params = resolve_config(preset).params
+    if phi is not None:
+        params = replace(params, phi=phi)
+    me = build_model(params)
+    rho0 = initial_density_matrix(resolve_config(preset).run.initial_state, params)
+    shapes = []
+
+    def recording(generator, dt):
+        shapes.append(generator.shape)
+        return rk4_propagator(generator, dt)
+
+    monkeypatch.setattr(dynamics, "rk4_propagator", recording)
+    evolve(me, rho0, 1.0, 0.002, [("P_S", named_state("S", params).projector)], 50)
+    assert shapes == [(n, n) for n in sizes]
 
 
 def test_step_error_is_fourth_order():
@@ -232,7 +255,7 @@ def small_runs(draw):
     a, w, obs = draw(square), draw(square), draw(square)
     rho0 = w @ w.conj().T + 1e-3 * np.eye(dim)
     me = toy_model(a + a.conj().T, draw(st.lists(square, max_size=3)))
-    run = draw(st.integers(0, 40)), draw(st.integers(1, 12))
+    run = draw(st.integers(0, 200)), draw(st.integers(1, 12))
     return me, rho0 / np.trace(rho0).real, obs + obs.conj().T, run
 
 
@@ -252,6 +275,36 @@ def test_evolve_matches_naive_stepper(system):
     assert np.max(np.abs(traj.records["O"] - expected)) <= 1e-10
     assert np.max(np.abs(traj.records["I"] - 1.0)) <= 1e-12
     assert abs(np.trace(traj.final_state) - 1.0) <= 1e-12
+
+
+@given(symmetric_open_systems(), st.integers(0, 200), st.integers(1, 12), st.integers(0, 2**32 - 1))
+def test_parity_blocks_evolve_like_one_block(me, steps, stride, seed):
+    rng = np.random.default_rng(seed)
+    rho0 = random_density_matrix(rng, me.dim)
+    obs = rng.normal(size=(me.dim, me.dim)) + 1j * rng.normal(size=(me.dim, me.dim))
+    observables = [("I", np.eye(me.dim)), ("O", obs + obs.conj().T)]
+    dt = 0.001
+    assert len(parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)[1]) == 2
+    blocks = evolve(me, rho0, steps * dt, dt, observables, stride)
+    whole = evolve(replace(me, symmetry=None), rho0, steps * dt, dt, observables, stride)
+    for label, _ in observables:
+        assert np.max(np.abs(blocks.records[label] - whole.records[label])) <= 1e-10
+    assert np.max(np.abs(blocks.final_state - whole.final_state)) <= 1e-10
+    assert np.array_equal(blocks.final_state, blocks.final_state.conj().T)
+
+
+def test_trace_guard_fires_on_nan():
+    # A NaN in the generator gives NaN readings; no projector is recorded,
+    # so the trace guard alone must catch them.
+    def poisoned(h, ops):
+        liouv = liouvillian(h, ops)
+        liouv[0, 0] = np.nan
+        return liouv
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "liouvillian", poisoned)
+        with pytest.raises(IntegrationError, match=r"trace drifted by nan at t=\d"):
+            evolve(damping_model(0.5), P1.astype(complex), 1.0, 0.01, [("X", SIGMA_X)])
 
 
 @st.composite

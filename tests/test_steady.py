@@ -20,28 +20,17 @@ from zenocav import (
     resolve_config,
     steady_state,
 )
-from zenocav.models import MasterEquationSpec
 import zenocav.steady as steady_mod
 from zenocav.operators import devectorize, hermiticity_defect, vectorize
 from zenocav.steady import nullspace_dimension
 
-from conftest import random_density_matrix, signed_permutation, traced_peak
-
-
-def toy_model(h, collapse_ops=()):
-    dim = np.asarray(h).shape[0]
-    return MasterEquationSpec(
-        hamiltonian=h,
-        collapse_ops=tuple(collapse_ops),
-        basis_labels=tuple(str(i) for i in range(dim)),
-        params=None,
-    )
-
-
-def damping_model(gamma):
-    lower = np.zeros((2, 2))
-    lower[0, 1] = math.sqrt(gamma)
-    return toy_model(np.zeros((2, 2)), [lower])
+from conftest import (
+    damping_model,
+    random_density_matrix,
+    symmetric_open_systems,
+    toy_model,
+    traced_peak,
+)
 
 
 def bell_effective_params(**overrides):
@@ -394,33 +383,6 @@ def test_operator_residual_matches_on_random_systems(system, seed):
     h, collapse_ops = system
     rho = random_density_matrix(np.random.default_rng(seed), h.shape[0])
     assert_residuals_match(h, collapse_ops, rho)
-
-
-@st.composite
-def symmetric_open_systems(draw):
-    """A random model invariant under a random signed basis involution.
-
-    The involution pairs some states and fixes the rest (with random signs,
-    equal within a pair); h is symmetrized, and each drawn collapse operator
-    comes with its image, so the dissipator is invariant too.
-    """
-    dim = draw(st.integers(2, 5))
-    order = draw(st.permutations(range(dim)))
-    n_pairs = draw(st.integers(1, dim // 2))
-    perm = np.arange(dim)
-    for a, b in zip(order[: 2 * n_pairs : 2], order[1 : 2 * n_pairs : 2]):
-        perm[a], perm[b] = b, a
-    sign = np.array(draw(st.lists(st.sampled_from([1.0, -1.0]), min_size=dim, max_size=dim)))
-    sign[perm > np.arange(dim)] = sign[perm[perm > np.arange(dim)]]
-    entries = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)
-    square = hnp.arrays(complex, (dim, dim), elements=entries)
-    u = signed_permutation(perm, sign)
-    a = draw(square)
-    h = a + a.conj().T
-    ops = []
-    for c in draw(st.lists(square, min_size=1, max_size=2)):
-        ops += [c, u @ c @ u.T]
-    return replace(toy_model((h + u @ h @ u.T) / 2, ops), symmetry=(perm, sign))
 
 
 @given(symmetric_open_systems())
