@@ -72,7 +72,9 @@ class SteadyStateResult:
     nonsingular blocks (the even one trace-replaced) prove the stationary
     state unique, and the counted value on the eigenvector fallback.  rcond
     is the smallest of the blocks' 1-norm reciprocal condition estimates in
-    real Hermitian coordinates, not that of the complex generator.  blocks
+    real Hermitian coordinates, not that of the complex generator; on two
+    OpenBLAS threads it can differ in the last bit between processes while
+    rho does not.  blocks
     holds the sizes of the systems factored: ``(even, odd)`` when the model's
     symmetry split the generator, ``(dim**2,)`` otherwise.
     """

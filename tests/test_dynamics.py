@@ -115,11 +115,10 @@ def test_evolve_memory_peak(preset, t_end, bound):
 def test_evolve_propagates_each_parity_block(monkeypatch, preset, phi, sizes):
     # bell_full at phi = pi evolves its even and odd blocks on their own;
     # klm_full and a drive phase that breaks the symmetry stay one block.
-    params = resolve_config(preset).params
-    if phi is not None:
-        params = replace(params, phi=phi)
+    config = resolve_config(preset)
+    params = config.params if phi is None else replace(config.params, phi=phi)
     me = build_model(params)
-    rho0 = initial_density_matrix(resolve_config(preset).run.initial_state, params)
+    rho0 = initial_density_matrix(config.run.initial_state, params)
     shapes = []
 
     def recording(generator, dt):
