@@ -109,12 +109,16 @@ def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     return t
 
 
-def _propagators(generator, dt, stride, count, rest, remainder):
-    """Propagators of one block: ``(P, P**BABY_STEPS, irregular, tail)``.
+def _propagators(parts, dt, stride, count, rest, remainder):
+    """Propagators of the next block: ``(P, P**BABY_STEPS, irregular, tail)``.
 
-    P advances one stride, irregular the last ``rest`` steps and tail the
-    final ``remainder`` of a step; each is None where the schedule has none.
+    The block's generator is popped off the front of ``parts`` so that this
+    frame holds its only reference and can free it; a generator passed as an
+    argument stays alive in the caller until the call returns.  P advances
+    one stride, irregular the last ``rest`` steps and tail the final
+    ``remainder`` of a step; each is None where the schedule has none.
     """
+    generator = parts.pop(0)
     tail = rk4_propagator(generator, remainder) if remainder else None
     step = rk4_propagator(generator, dt) if count else None
     del generator  # matrix_power's temporaries need the room
@@ -253,7 +257,7 @@ def evolve(
     del generator
     readings, finals = 0.0, []
     for idx in blocks:
-        propagators = _propagators(parts.pop(0), dt, stride, count, rest, remainder)
+        propagators = _propagators(parts, dt, stride, count, rest, remainder)
         # The block's readout and state are built after its powers, whose
         # temporaries set the memory peak.
         block_readings, x = _readings(
