@@ -8,16 +8,16 @@ to the state.  That matrix is built once and raised to the sampling stride
 P, which turns a million-step integration into a handful of dense matrix
 products.  A model whose operators respect its symmetry evolves in the
 symmetry's parity basis, where M splits into an even and an odd block that
-never mix; each block is propagated on its own, at about a quarter of the
-cost of the whole, and the readings of the two blocks add.  The readings
-``R P^k x`` at the samples come by baby steps and giant steps: the rows
-``R P^j`` for j below BABY_STEPS and the states ``P^(BABY_STEPS i) x``, so
-that one product of the two stacks reads every sample and only one state
-product in BABY_STEPS is paid.  The polynomial keeps the trace exactly, so a
-step size too large for the generator shows as populations leaving [0, 1],
-or, once the giant steps overflow, as a trace that is no longer 1.  Fixed
-steps keep sample grids bit-reproducible so overlay comparisons between
-models are well defined.
+never mix; each is built straight from the complex generator and propagated
+on its own, at about a quarter of the cost of the whole, and the readings of
+the two blocks add.  The readings ``R P^k x`` at the samples come by baby
+steps and giant steps: the rows ``R P^j`` for j below BABY_STEPS and the
+states ``P^(BABY_STEPS i) x``, so that one product of the two stacks reads
+every sample and only one state product in BABY_STEPS is paid.  The
+polynomial keeps the trace exactly, so a step size too large for the
+generator shows as populations leaving [0, 1], or, once the giant steps
+overflow, as a trace that is no longer 1.  Fixed steps keep sample grids
+bit-reproducible so overlay comparisons between models are well defined.
 """
 
 from __future__ import annotations
@@ -32,7 +32,7 @@ from .operators import (
     INTEGRATION_TOL,
     DensityMatrixReport,
     from_hermitian,
-    hermitian_generator,
+    hermitian_blocks,
     hermiticity_defect,
     liouvillian,
     parity_frame,
@@ -247,14 +247,9 @@ def evolve(
     stride = min(sample_stride, n_steps)
     count, rest = divmod(n_steps, stride) if n_steps else (0, 0)
 
-    liouv = liouvillian(*operators)
+    # The blocks come straight from the complex generator, gone before any propagator.
+    parts = hermitian_blocks(liouvillian(*operators), blocks)
     del operators
-    generator = hermitian_generator(liouv)
-    del liouv
-    # A single block is the generator itself; either way the whole generator
-    # is gone before any propagator is built.
-    parts = [generator] if len(blocks) == 1 else [generator[np.ix_(idx, idx)] for idx in blocks]
-    del generator
     readings, finals = 0.0, []
     for idx in blocks:
         propagators = _propagators(parts, dt, stride, count, rest, remainder)

@@ -158,6 +158,9 @@ class MasterEquationSpec:
             self, "collapse_ops", tuple(np.asarray(c, dtype=complex) for c in self.collapse_ops)
         )
         object.__setattr__(self, "basis_labels", tuple(self.basis_labels))
+        # A NaN defect would pass the hermiticity check below.
+        if not np.isfinite(h).all():
+            raise ValueError("hamiltonian entries must be finite")
         if hermiticity_defect(h) > HERMITICITY_TOL:
             raise ValueError(
                 f"hamiltonian hermiticity defect {hermiticity_defect(h):.3e} "
@@ -166,6 +169,8 @@ class MasterEquationSpec:
         for k, c in enumerate(self.collapse_ops):
             if c.shape != h.shape:
                 raise ValueError(f"collapse operator {k} shape {c.shape} != {h.shape}")
+            if not np.isfinite(c).all():
+                raise ValueError(f"collapse operator {k} entries must be finite")
         if len(self.basis_labels) != h.shape[0]:
             raise ValueError(
                 f"{len(self.basis_labels)} basis labels for dimension {h.shape[0]}"

@@ -147,45 +147,52 @@ def _hermitian_coordinates(dim: int):
     return np.arange(dim) * (dim + 1), i + j * dim, j + i * dim
 
 
-def hermitian_generator(liouv: np.ndarray) -> np.ndarray:
-    """The generator in real Hermitian coordinates, M = U^dag L U.
+def hermitian_blocks(liouv: np.ndarray, blocks) -> list:
+    """Diagonal blocks of the generator in real Hermitian coordinates, M = U^dag L U.
 
-    M is real because L maps Hermitian matrices to Hermitian ones; the
-    equation for rho_ji is the conjugate of the one for rho_ij, so only the
-    rows for i <= j are read, one column of rho at a time.  M is filled row
-    by row in C order, which LAPACK reads as the Fortran-ordered M^T.
+    A block is an ascending coordinate array whose Re and Im parts share their
+    pairs (parity_frame's); one of every coordinate is all of M.  M is real
+    because L maps Hermitian matrices to Hermitian ones; the equation for
+    rho_ji is the conjugate of the one for rho_ij, so only the rows for i <= j
+    and each block's own columns are read; in C order a block is LAPACK's M^T.
     """
-    n2 = liouv.shape[0]
-    dim = math.isqrt(n2)
+    dim = math.isqrt(liouv.shape[0])
     diag, upper, lower = _hermitian_coordinates(dim)
-    re0, im0 = dim, dim + upper.size
-    system = np.empty((n2, n2))
-    for j in range(dim):
-        rows = liouv[j * dim : j * dim + j + 1]
-        xu = rows[:, upper]
-        xl = rows[:, lower]
-        # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
-        # gathered once xl is gone, and the blocks go before the next column
-        # gathers its own, so at most three are alive at once.
-        xs = xu + xl
-        xu -= xl
-        del xl
-        xd = rows[:, diag]
-        system[j, :re0] = xd[j].real
-        system[j, re0:im0] = xs[j].real / _SQRT2
-        system[j, im0:] = xu[j].imag / -_SQRT2
-        # Rows of U^dag: sqrt2 Re and sqrt2 Im of each equation rho_ij, i < j.
-        pairs = j * (j - 1) // 2
-        re_rows = slice(re0 + pairs, re0 + pairs + j)
-        im_rows = slice(im0 + pairs, im0 + pairs + j)
-        system[re_rows, :re0] = xd[:j].real * _SQRT2
-        system[re_rows, re0:im0] = xs[:j].real
-        system[re_rows, im0:] = -xu[:j].imag
-        system[im_rows, :re0] = xd[:j].imag * _SQRT2
-        system[im_rows, re0:im0] = xs[:j].imag
-        system[im_rows, im0:] = xu[:j].real
-        del xd, xu, xs
-    return system
+    parts = []
+    for idx in blocks:
+        re0 = int(np.searchsorted(idx, dim))
+        im0 = (re0 + idx.size) // 2
+        part = np.empty((idx.size, idx.size))
+        # The diagonal equations (k < 0), then the pairs', at most dim at a time.
+        # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
+        for k in range(-dim, im0 - re0, dim):
+            eq = slice(k, k + dim)
+            eqs = diag[idx[:re0]] if k < 0 else upper[idx[re0:im0][eq] - dim]
+            # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
+            # gathered once xl is gone, and the blocks go before the next chunk
+            # gathers its own, so at most three are alive at once; the column
+            # indices live only as long as their gather.
+            xu = liouv[np.ix_(eqs, upper[idx[re0:im0] - dim])]
+            xl = liouv[np.ix_(eqs, lower[idx[re0:im0] - dim])]
+            xs = xu + xl
+            xu -= xl
+            del xl
+            xd = liouv[np.ix_(eqs, diag[idx[:re0]])]
+            if k < 0:
+                part[:re0, :re0] = xd.real
+                part[:re0, re0:im0] = xs.real / _SQRT2
+                part[:re0, im0:] = xu.imag / -_SQRT2
+            else:
+                # Rows of U^dag: sqrt2 Re and sqrt2 Im of each equation rho_ij, i < j.
+                part[re0:im0][eq, :re0] = xd.real * _SQRT2
+                part[re0:im0][eq, re0:im0] = xs.real
+                part[re0:im0][eq, im0:] = -xu.imag
+                part[im0:][eq, :re0] = xd.imag * _SQRT2
+                part[im0:][eq, re0:im0] = xs.imag
+                part[im0:][eq, im0:] = xu.real
+            del xd, xu, xs
+        parts.append(part)
+    return parts
 
 
 def to_hermitian(op) -> np.ndarray:

@@ -8,8 +8,8 @@ complex one, with the equation for rho_00 replaced by the trace constraint.
 A model whose operators respect its symmetry is first rotated into the
 symmetry's parity basis, where the generator splits into an even block,
 which holds every diagonal entry and so the trace constraint and the state,
-and an odd block; each is factored on its own, together at about a quarter
-of the cost of the whole.  A reciprocal-condition estimate on the
+and an odd block; each is built and factored on its own, together at about
+a quarter of the cost of the whole.  A reciprocal-condition estimate on the
 factorizations flags degenerate generators without paying for an
 eigendecomposition at every call; the residual is always checked in
 operator form on the model's own Hamiltonian and collapse operators.
@@ -32,7 +32,7 @@ from .models import MasterEquationSpec
 from .operators import (
     PHYSICAL_TOL,
     from_hermitian,
-    hermitian_generator,
+    hermitian_blocks,
     liouvillian,
     parity_frame,
 )
@@ -74,9 +74,9 @@ class SteadyStateResult:
     is the smallest of the blocks' 1-norm reciprocal condition estimates in
     real Hermitian coordinates, not that of the complex generator; on two
     OpenBLAS threads it can differ in the last bit between processes while
-    rho does not.  blocks
-    holds the sizes of the systems factored: ``(even, odd)`` when the model's
-    symmetry split the generator, ``(dim**2,)`` otherwise.
+    rho does not.  blocks holds the sizes of the systems built and factored:
+    ``(even, odd)`` when the model's symmetry split the generator,
+    ``(dim**2,)`` otherwise.
     """
 
     rho: np.ndarray
@@ -149,17 +149,19 @@ def _nullspace_count(eigvals: np.ndarray, norm1: float, tol: float | None = None
     return int(np.sum(np.abs(eigvals) < tol))
 
 
-def _eigenvector_solve(generator: np.ndarray, dim: int):
-    """Nullspace count and slowest-eigenvector coordinates from one eigendecomposition.
+def _eigenvector_solve(parts, dim: int):
+    """Nullspace count and slowest even-block eigenvector, one eigendecomposition per block.
 
-    generator is the real Hermitian-coordinate form, which has the
-    complex generator's spectrum; the state's trace is the sum of its first
-    dim (diagonal) coordinates.
+    The real Hermitian-coordinate blocks together have the complex
+    generator's spectrum and its 1-norm, the largest of theirs; the state's
+    trace is the sum of the even block's first dim (diagonal) coordinates.
     """
-    eigvals, eigvecs = scipy.linalg.eig(generator)
-    dimension = _nullspace_count(eigvals, float(np.linalg.norm(generator, 1)))
+    spectra = [scipy.linalg.eig(part) for part in parts]
+    norm1 = max(float(np.linalg.norm(part, 1)) for part in parts)
+    dimension = _nullspace_count(np.concatenate([w for w, _ in spectra]), norm1)
     if dimension >= 2:
         raise DegenerateSteadyStateError(dimension)
+    eigvals, eigvecs = spectra[0]
     x = eigvecs[:, int(np.argmin(np.abs(eigvals)))]
     trace = x[:dim].sum()
     if abs(trace) < 1e-12:
@@ -192,34 +194,28 @@ def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int
 def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     """Solve for the unique stationary density matrix.
 
-    Builds the generator in real Hermitian coordinates, in the parity basis
-    when the model's symmetry holds on its operators, and LU-factors each of
-    its blocks: the even one with its rho_00 equation replaced by the trace
-    constraint, and the odd one, whose nonsingularity rules out a second,
-    odd stationary state.  The state comes from the even block.  A tiny
-    reciprocal condition number in either block triggers one
-    eigendecomposition of the generator: nullspace dimension >= 2 raises
-    DegenerateSteadyStateError; a unique but ill-conditioned case falls back
-    to the slowest eigenvector.  The returned residual is the max-norm of
-    the master equation's right-hand side at the state actually returned,
-    computed from the model's own operators.
+    Builds the blocks of the generator in real Hermitian coordinates, in the
+    parity basis when the model's symmetry holds on its operators, straight
+    from the complex generator, and LU-factors each: the even one with its
+    rho_00 equation replaced by the trace constraint, and the odd one, whose
+    nonsingularity rules out a second, odd stationary state.  The state comes
+    from the even block.  A tiny reciprocal condition number in either block
+    rebuilds the blocks and triggers one eigendecomposition of each: nullspace
+    dimension >= 2 raises DegenerateSteadyStateError; a unique but
+    ill-conditioned case falls back to the slowest eigenvector of the even
+    block.  The returned residual is the max-norm of the master equation's
+    right-hand side at the state actually returned, computed from the model's
+    own operators.
     """
     basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
-    # The operators and the complex generator are temporaries: the
-    # eigenvector fallback needs only the real generator, and without them
-    # the block copies stay below the peak of the conversion.
-    liouv = liouvillian(*operators)
-    del operators
-    generator = hermitian_generator(liouv)
-    del liouv
+    # The complex generator is a temporary, gone before the blocks are
+    # factored in place; the rare eigenvector fallback assembles it again.
+    parts = hermitian_blocks(liouvillian(*operators), blocks)
     factors = []
-    for k, idx in enumerate(blocks):
-        # The gathered block is C-ordered, so its transpose is the
-        # Fortran-ordered array LAPACK factors in place.  A single block is
-        # the whole generator, and a plain copy is three times faster than
-        # the gather.
-        whole = idx.size == generator.shape[0]
-        system_t = (generator.copy() if whole else generator[np.ix_(idx, idx)]).T
+    for k, system in enumerate(parts):
+        # The block is C-ordered, so its transpose is the Fortran-ordered
+        # array LAPACK factors in place.
+        system_t = system.T
         if k == 0:
             # Row 0 of the even block, the rho_00 equation, becomes the trace
             # constraint over the diagonal coordinates that open the block.
@@ -229,15 +225,17 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     rcond = min(block_rcond for _, block_rcond in factors)
     if rcond < RCOND_TOL:
         method = "eigenvector"
-        x, dimension = _eigenvector_solve(generator, me.dim)
+        parts = hermitian_blocks(liouvillian(*operators), blocks)
+        even, dimension = _eigenvector_solve(parts, me.dim)
     else:
         method = "trace_replacement"
         dimension = 1
         rhs = np.zeros(blocks[0].size)
         rhs[0] = 1.0
-        x = np.zeros(generator.shape[0])
         # trans=1 solves with (M^T)^T = M.
-        x[blocks[0]] = lu_solve(factors[0][0], rhs, trans=1)
+        even = lu_solve(factors[0][0], rhs, trans=1)
+    x = np.zeros(me.dim**2)
+    x[blocks[0]] = even
     rho = from_hermitian(x)
     if basis is not None:
         rho = basis.T @ rho @ basis

@@ -82,3 +82,21 @@ def test_metrics_a_run_lacks_and_unpaired_seeds_are_skipped():
     summary = bench_pairs.summarize(runs, END_TO_END)
     assert set(summary) == {"round_s"}
     assert summary["round_s"]["pairs"] == 2
+
+
+def test_every_change_run_against_every_parent_run():
+    # The no-regression reading: every change run better than every parent
+    # run, or every one worse, or neither; it holds whatever the bound.
+    def reading(parent, change, metric="round_s"):
+        runs = canned_runs(parent, change, metric)
+        return bench_pairs.summarize(runs, END_TO_END)[metric]["every_change_run"]
+
+    parent = [198.5378, 198.5381, 198.5375, 198.5380, 198.5379]
+    assert reading(parent, [p - 0.5 for p in parent], "peak_alloc_mb") == "better"
+    assert reading(parent, [p + 0.001 for p in parent], "peak_alloc_mb") == "worse"
+    # One change run at the parent's best already overlaps.
+    assert reading([1.0, 1.2, 1.1], [0.9, 1.0, 0.8]) == "neither"
+    assert reading([1.0, 1.2, 1.1], [1.3, 1.25, 1.21]) == "worse"
+    # Higher-is-better metrics flip the comparison.
+    assert reading([10.0, 11.0], [12.0, 11.5], "points_per_s") == "better"
+    assert reading([10.0, 11.0], [9.0, 9.5], "points_per_s") == "worse"

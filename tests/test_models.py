@@ -53,6 +53,24 @@ def test_non_finite_parameters_rejected(field, value):
         params(Variant.BELL_FULL, **{field: value})
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf])
+@pytest.mark.parametrize("where", ["hamiltonian", "collapse operator 1"])
+def test_non_finite_operators_rejected(where, value):
+    # A NaN or inf entry makes the hermiticity defect NaN, which compares
+    # below any tolerance; the spec must still refuse it.
+    me = build_model(params(Variant.BELL_EFFECTIVE))
+    if where == "hamiltonian":
+        h = me.hamiltonian.copy()
+        h[0, 0] = value
+        changes = {"hamiltonian": h}
+    else:
+        c = me.collapse_ops[1].copy()
+        c[0, 1] = value
+        changes = {"collapse_ops": (me.collapse_ops[0], c, *me.collapse_ops[2:])}
+    with pytest.raises(ValueError, match=f"^{where} entries must be finite"):
+        replace(me, **changes)
+
+
 def test_full_variant_needs_cavity_level():
     with pytest.raises(ValueError, match="n_max"):
         params(Variant.BELL_FULL, n_max=0)

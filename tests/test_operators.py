@@ -19,17 +19,24 @@ from zenocav.operators import (
     devectorize,
     expectation,
     from_hermitian,
-    hermitian_generator,
+    hermitian_blocks,
     hermiticity_defect,
     operator_to_dict,
     parity_blocks,
+    parity_frame,
     tensor_product,
     to_hermitian,
     validate_density_matrix,
     vectorize,
 )
 
-from conftest import TRANSFER_MIXTURE, random_density_matrix, signed_permutation, traced_peak
+from conftest import (
+    TRANSFER_MIXTURE,
+    random_density_matrix,
+    signed_permutation,
+    symmetric_open_systems,
+    traced_peak,
+)
 
 
 def dagger(a) -> np.ndarray:
@@ -318,8 +325,35 @@ def test_hermitian_generator_acts_as_the_generator(system):
     herm = x + x.conj().T
     scale = 1.0 + np.abs(h).sum() + sum(np.abs(c).sum() ** 2 for c in collapse_ops)
     direct = to_hermitian(devectorize(sop @ vectorize(herm)))
-    real = hermitian_generator(sop) @ to_hermitian(herm)
+    (generator,) = hermitian_blocks(sop, [np.arange(sop.shape[0])])
+    real = generator @ to_hermitian(herm)
     assert np.max(np.abs(real - direct)) <= 1e-12 * scale * (1.0 + np.abs(herm).max())
+
+
+@given(symmetric_open_systems())
+def test_hermitian_blocks_match_the_generator_column_by_column(me):
+    # Column c of the dense reference M is the generator applied to the
+    # Hermitian matrix with coordinates e_c.  Each block, and the one block
+    # of every coordinate, is M's own diagonal block; the parity blocks drop
+    # only M's cross-block entries, which are rounding-sized.  Rounding
+    # scales with the operators, not with M, which can vanish (h = I).
+    _, blocks, h, collapse_ops = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    assert len(blocks) == 2
+    sop = liouvillian(h, collapse_ops)
+    n2 = sop.shape[0]
+    reference = np.column_stack(
+        [to_hermitian(devectorize(sop @ vectorize(from_hermitian(e)))) for e in np.eye(n2)]
+    )
+    scale = np.abs(h).max() + sum(np.abs(c).max() ** 2 for c in collapse_ops)
+    for split in (blocks, (np.arange(n2),)):
+        parts = hermitian_blocks(sop, split)
+        assert [part.shape for part in parts] == [(idx.size, idx.size) for idx in split]
+        for idx, part in zip(split, parts):
+            assert part.flags.c_contiguous
+            assert np.max(np.abs(part - reference[np.ix_(idx, idx)])) <= 1e-12 * scale
+    even, odd = blocks
+    cross = np.concatenate([reference[np.ix_(even, odd)].ravel(), reference[np.ix_(odd, even)].ravel()])
+    assert np.max(np.abs(cross)) <= 1e-12 * scale
 
 
 @pytest.mark.parametrize(

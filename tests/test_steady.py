@@ -173,7 +173,8 @@ def counting(monkeypatch, owner, name, calls):
 
 def test_eigenvector_fallback_decomposes_once(monkeypatch):
     # The fallback counts the nullspace and picks the state from one eig of
-    # the generator the solve already holds.
+    # the generator.  The factors overwrite the blocks and the complex
+    # generator is freed before them, so the fallback assembles it again.
     me = damping_model(1e-15)
     expected = steady_state(me)
     calls = {"liouvillian": [], "eig": [], "eigvals": []}
@@ -181,7 +182,7 @@ def test_eigenvector_fallback_decomposes_once(monkeypatch):
     counting(monkeypatch, scipy.linalg, "eig", calls["eig"])
     counting(monkeypatch, scipy.linalg, "eigvals", calls["eigvals"])
     result = steady_state(me)
-    assert {k: len(v) for k, v in calls.items()} == {"liouvillian": 1, "eig": 1, "eigvals": 0}
+    assert {k: len(v) for k, v in calls.items()} == {"liouvillian": 2, "eig": 1, "eigvals": 0}
     assert result.method == expected.method == "eigenvector"
     assert result.nullspace_dimension == expected.nullspace_dimension == 1
     assert np.array_equal(result.rho, expected.rho)
@@ -298,13 +299,17 @@ def test_odd_block_degeneracy_is_not_missed(monkeypatch):
         steady_state(replace(me, symmetry=None))
 
 
-def test_eigenvector_fallback_on_parity_blocks():
+def test_eigenvector_fallback_on_parity_blocks(monkeypatch):
     # Feeble decay both ways between |0> and |1>, which the swap exchanges:
     # the blocks are too ill-conditioned to solve, and the fallback's state,
-    # found in the parity basis, comes back as the unique I/2.
+    # found in the parity basis with one eig per block, comes back as the
+    # unique I/2.
     rate = math.sqrt(1e-15)
     lower = np.array([[0.0, rate], [0.0, 0.0]])
+    calls = []
+    counting(monkeypatch, scipy.linalg, "eig", calls)
     result = steady_state(swap_symmetric_toy(np.zeros((2, 2)), [lower, lower.T]))
+    assert [args[0].shape for args in calls] == [(2, 2), (2, 2)]
     assert result.blocks == (2, 2)
     assert result.method == "eigenvector"
     assert result.nullspace_dimension == 1
@@ -416,11 +421,17 @@ def test_diagnostics_fields(weak_drive_params):
     assert result.clip_magnitude >= 0.0
 
 
-def test_steady_state_memory_peak():
-    # The complex generator and the real system factored in place: 1.5
-    # generator sizes plus row-block temporaries, bounded by 2.
-    params = replace(resolve_config("preset1").params, n_max=3)
+@pytest.mark.parametrize(
+    "variant, generator_sizes",
+    [(Variant.BELL_FULL, 1.4), (Variant.KLM_FULL, 2.0)],
+    ids=["bell-parity-blocks", "klm-one-block"],
+)
+def test_steady_state_memory_peak(variant, generator_sizes):
+    # The complex generator beside the real blocks it is built into, plus
+    # row-block temporaries: two parity blocks hold a quarter of a complex
+    # generator size, a single block half of one.
+    params = replace(resolve_config("preset1").params.with_variant(variant), n_max=3)
     me = build_model(params)
     result, peak = traced_peak(steady_state, me)
     assert result.method == "trace_replacement"
-    assert peak <= 2 * me.dim**4 * 16
+    assert peak <= generator_sizes * me.dim**4 * 16

@@ -17,8 +17,9 @@ metrics and correctness, and per metric each side's median and
 quartiles, the change's wins and the verdict of the pair rule: over at
 least ten pairs the change wins at least nine tenths (ties count for
 neither), and the medians differ by more than the parent's interquartile
-range.  Exits 1 when
-any run failed or reported an incorrect result.
+range.  Beside it stands the no-regression reading, which needs no bound:
+whether every change run is better than every parent run, every one worse,
+or neither.  Exits 1 when any run failed or reported an incorrect result.
 """
 
 from __future__ import annotations
@@ -72,6 +73,12 @@ def summarize(runs, end_to_end):
         change = [c for _, c in pairs]
         p_q1, p_med, p_q3 = quartiles(parent)
         c_q1, c_med, c_q3 = quartiles(change)
+        if max(sign * c for c in change) < min(sign * p for p in parent):
+            separation = "better"
+        elif min(sign * c for c in change) > max(sign * p for p in parent):
+            separation = "worse"
+        else:
+            separation = "neither"
         wins = sum(sign * (p - c) > 0 for p, c in pairs)
         losses = sum(sign * (p - c) < 0 for p, c in pairs)
         gain = sign * (p_med - c_med)
@@ -86,6 +93,7 @@ def summarize(runs, end_to_end):
             "median_gain": gain,
             "relative_gain": gain / p_med if p_med else None,
             "parent_iqr": p_q3 - p_q1,
+            "every_change_run": separation,
             "gain_claimable": (
                 len(pairs) >= CLAIM_MIN_PAIRS
                 and wins >= CLAIM_WIN_SHARE * len(pairs)
@@ -177,7 +185,8 @@ def main(argv=None) -> int:
               f"[{s['parent']['q1']:.6g}-{s['parent']['q3']:.6g}] -> change "
               f"{s['change']['median']:.6g} [{s['change']['q1']:.6g}-{s['change']['q3']:.6g}], "
               f"change better in {s['wins']} of {s['pairs']} pairs, "
-              f"claimable: {s['gain_claimable']}")
+              f"claimable: {s['gain_claimable']}, "
+              f"every change run vs every parent run: {s['every_change_run']}")
     out = args.out or Path(f"BENCH_{args.topic}.json")
     out.write_text(json.dumps({
         "topic": args.topic,
