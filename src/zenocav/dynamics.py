@@ -247,8 +247,9 @@ def evolve(
     stride = min(sample_stride, n_steps)
     count, rest = divmod(n_steps, stride) if n_steps else (0, 0)
 
-    # The blocks come straight from the complex generator, gone before any propagator.
-    parts = hermitian_blocks(liouvillian(*operators), blocks)
+    # The blocks come straight from the complex generator, each copied out of
+    # its buffer, gone before any propagator, so that each can be freed alone.
+    parts = [part.copy() for part in hermitian_blocks(liouvillian(*operators), blocks)]
     del operators
     readings, finals = 0.0, []
     for idx in blocks:

@@ -155,19 +155,43 @@ def hermitian_blocks(liouv: np.ndarray, blocks) -> list:
     because L maps Hermitian matrices to Hermitian ones; the equation for
     rho_ji is the conjugate of the one for rho_ij, so only the rows for i <= j
     and each block's own columns are read; in C order a block is LAPACK's M^T.
+    The blocks are written over liouv, whose buffer they view one after the
+    other from its start, so the generator and its blocks never take more
+    than the generator's own memory.
     """
-    dim = math.isqrt(liouv.shape[0])
+    n = liouv.shape[0]
+    dim = math.isqrt(n)
     diag, upper, lower = _hermitian_coordinates(dim)
-    parts = []
+    if not liouv.flags.c_contiguous or liouv.dtype != complex:
+        raise ValueError("the generator must be a C-ordered complex128 array")
+    # The equations read, rows j*dim .. j*dim + j for each j, move in order
+    # to the last rows, the last run first, so that none lands on a row still
+    # to move.  The blocks then fill the buffer from its start, each row
+    # block of output no longer than the equations just read, and never reach
+    # an equation still to be read.
+    eqs = np.sort(np.concatenate([diag, upper]))
+    first = n - eqs.size
+    for j in range(dim - 1, -1, -1):
+        at = first + j * (j + 1) // 2
+        liouv[at : at + j + 1] = liouv[j * dim : j * dim + j + 1]
+    row = np.empty(n, dtype=int)
+    row[eqs] = np.arange(first, n)
+    # Blocks that end short of the first moved equation cannot reach one; the
+    # parity blocks always do, and a block of every coordinate needs none.
+    if max(idx.size for idx in blocks) < n and sum(idx.size**2 for idx in blocks) > 2 * first * n:
+        raise ValueError("blocks this unequal do not fit beside the equations they read")
+    buffer = liouv.view(float).reshape(-1)
+    parts, start = [], 0
     for idx in blocks:
         re0 = int(np.searchsorted(idx, dim))
         im0 = (re0 + idx.size) // 2
-        part = np.empty((idx.size, idx.size))
+        part = buffer[start : start + idx.size**2].reshape(idx.size, idx.size)
+        start += idx.size**2
         # The diagonal equations (k < 0), then the pairs', at most dim at a time.
         # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
         for k in range(-dim, im0 - re0, dim):
             eq = slice(k, k + dim)
-            eqs = diag[idx[:re0]] if k < 0 else upper[idx[re0:im0][eq] - dim]
+            eqs = row[diag[idx[:re0]] if k < 0 else upper[idx[re0:im0][eq] - dim]]
             # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
             # gathered once xl is gone, and the blocks go before the next chunk
             # gathers its own, so at most three are alive at once; the column

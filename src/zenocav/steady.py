@@ -208,8 +208,8 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     own operators.
     """
     basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
-    # The complex generator is a temporary, gone before the blocks are
-    # factored in place; the rare eigenvector fallback assembles it again.
+    # The blocks are written over the complex generator and factored in
+    # place; the rare eigenvector fallback assembles the generator again.
     parts = hermitian_blocks(liouvillian(*operators), blocks)
     factors = []
     for k, system in enumerate(parts):

@@ -346,10 +346,13 @@ def test_hermitian_blocks_match_the_generator_column_by_column(me):
     )
     scale = np.abs(h).max() + sum(np.abs(c).max() ** 2 for c in collapse_ops)
     for split in (blocks, (np.arange(n2),)):
-        parts = hermitian_blocks(sop, split)
+        # The blocks are written over the generator they are given.
+        generator = sop.copy()
+        parts = hermitian_blocks(generator, split)
         assert [part.shape for part in parts] == [(idx.size, idx.size) for idx in split]
         for idx, part in zip(split, parts):
             assert part.flags.c_contiguous
+            assert np.shares_memory(part, generator)
             assert np.max(np.abs(part - reference[np.ix_(idx, idx)])) <= 1e-12 * scale
     even, odd = blocks
     cross = np.concatenate([reference[np.ix_(even, odd)].ravel(), reference[np.ix_(odd, even)].ravel()])

@@ -423,13 +423,14 @@ def test_diagnostics_fields(weak_drive_params):
 
 @pytest.mark.parametrize(
     "variant, generator_sizes",
-    [(Variant.BELL_FULL, 1.4), (Variant.KLM_FULL, 2.0)],
+    [(Variant.BELL_FULL, 1.1), (Variant.KLM_FULL, 1.1)],
     ids=["bell-parity-blocks", "klm-one-block"],
 )
 def test_steady_state_memory_peak(variant, generator_sizes):
-    # The complex generator beside the real blocks it is built into, plus
-    # row-block temporaries: two parity blocks hold a quarter of a complex
-    # generator size, a single block half of one.
+    # The real blocks are written over the complex generator, so the peak is
+    # that one generator plus row-block temporaries and the LU's finiteness
+    # check, whichever variant: 1.04 and 1.06 generator sizes here.  Blocks
+    # built beside the generator read 1.28 (two parity blocks) and 1.54 (one).
     params = replace(resolve_config("preset1").params.with_variant(variant), n_max=3)
     me = build_model(params)
     result, peak = traced_peak(steady_state, me)
