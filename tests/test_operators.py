@@ -359,6 +359,20 @@ def test_hermitian_blocks_match_the_generator_column_by_column(me):
     assert np.max(np.abs(cross)) <= 1e-12 * scale
 
 
+def test_hermitian_blocks_refuses_what_it_cannot_build_in_place(rng):
+    # dim 4: 16 coordinates, 6 pairs.  Splitting off one pair (its Re and Im
+    # coordinates 4 and 10) leaves blocks of 14 and 2, 200 entries, more than
+    # the 192 in front of the equations that are read; a generator that is
+    # not one C-ordered complex buffer has no such front.
+    h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+    sop = liouvillian(h + h.conj().T, [rng.normal(size=(4, 4))])
+    lone = np.array([4, 10])
+    with pytest.raises(ValueError, match="unequal"):
+        hermitian_blocks(sop.copy(), (np.setdiff1d(np.arange(16), lone), lone))
+    with pytest.raises(ValueError, match="C-ordered complex128"):
+        hermitian_blocks(np.asfortranarray(sop), (np.arange(16),))
+
+
 @pytest.mark.parametrize(
     "perm, sign",
     [
