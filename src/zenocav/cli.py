@@ -66,7 +66,11 @@ def _load(args):
         overrides.append(f"delta={args.delta_mult * config_after.params.omega_mw!r}")
     if overrides:
         config = apply_overrides(config, overrides)
-    return config
+    try:
+        # Finite rates can still overflow the operators built from them.
+        return config, build_model(config.params)
+    except ValueError as exc:
+        raise ConfigError(str(exc), config.origin) from None
 
 
 def _observables(params):
@@ -83,10 +87,9 @@ def _default_output(args, suffix: str) -> Path:
 
 
 def cmd_evolve(args) -> int:
-    config = _load(args)
+    config, me = _load(args)
     run = config.require_run()
     params = config.params
-    me = build_model(params)
     rho0 = initial_density_matrix(run.initial_state, params)
     traj = evolve(
         me,
@@ -106,9 +109,8 @@ def cmd_evolve(args) -> int:
 
 
 def cmd_steady(args) -> int:
-    config = _load(args)
+    config, me = _load(args)
     params = config.params
-    me = build_model(params)
     try:
         result = steady_state(me)
     except DegenerateSteadyStateError as exc:
@@ -161,7 +163,7 @@ def _parse_range(text: str):
 
 
 def cmd_sweep(args) -> int:
-    config = _load(args)
+    config, _ = _load(args)
     params = config.params
     # Every input is checked here, before the first solve.
     if not params.variant.is_full:
@@ -220,7 +222,7 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_derive(args) -> int:
-    config = _load(args)
+    config, _ = _load(args)
     params = config.params
     if not params.variant.is_full:
         print(

@@ -189,12 +189,13 @@ def evolve(
     on its operators, one block of coordinates at a time; the final state is
     rotated back.  The samples one stride apart are read by baby steps and
     giant steps (see _readings); a shorter last advance and the remainder
-    step are applied one after the other.  Raises IntegrationError, naming
-    the first offending sample time, when a population leaves [0, 1] or the
-    trace drifts beyond 1e-4 or is not a number.  RK4 keeps the trace
-    exactly, and the baby-step rows keep the trace row, so a dt too large
-    for the generator's stiffness shows as a population out of range, or
-    as trace drift at the first giant step that overflows.
+    step are applied one after the other.  Raises IntegrationError on a
+    generator entry that is not finite, and, naming the first offending
+    sample time, when a population leaves [0, 1] or the trace drifts beyond
+    1e-4 or is not a number.  RK4 keeps the trace exactly, and the baby-step
+    rows keep the trace row, so a dt too large for the generator's stiffness
+    shows as a population out of range, or as trace drift at the first giant
+    step that overflows.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != me.hamiltonian.shape:
@@ -251,6 +252,10 @@ def evolve(
     # its buffer, gone before any propagator, so that each can be freed alone.
     parts = [part.copy() for part in hermitian_blocks(liouvillian(*operators), blocks)]
     del operators
+    if not all(np.isfinite(part).all() for part in parts):
+        raise IntegrationError(
+            "generator entries are not finite: the rates overflow double precision"
+        )
     readings, finals = 0.0, []
     for idx in blocks:
         propagators = _propagators(parts, dt, stride, count, rest, remainder)

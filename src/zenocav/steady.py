@@ -40,8 +40,8 @@ from .operators import (
 # Below this reciprocal condition number a trace-replaced block is treated
 # as singular and the generator is checked for a degenerate nullspace.
 RCOND_TOL = 1e-13
-# Scale factor for the nullspace eigenvalue cutoff, relative to the
-# generator's 1-norm.
+# Scale factor for the nullspace eigenvalue cutoff, relative to the largest
+# 1-norm of the generator's real Hermitian-coordinate blocks.
 NULLSPACE_TOL_SCALE = 1e-10
 # Negative eigenvalues no worse than this are numerical noise and are
 # clipped; anything worse is an error.
@@ -103,15 +103,20 @@ def _factor(system_t: np.ndarray):
 
     An exactly singular system gives (None, 0.0).
     """
-    # The factorization overwrites the system, so take the norm first.
+    # The factorization overwrites the system, so take the norm first.  It is
+    # not finite when an entry is not, so the LU need not check (a bool copy).
     (lange,) = get_lapack_funcs(("lange",), (system_t,))
     norm1 = float(lange("I", system_t))
+    if not np.isfinite(norm1):
+        raise SteadyStateNumericsError(
+            f"generator block has 1-norm {norm1}: the rates overflow double precision"
+        )
     try:
         with warnings.catch_warnings():
             # An exactly singular factorization is an expected outcome here;
             # it routes to the degeneracy check.
             warnings.simplefilter("ignore", LinAlgWarning)
-            lu_pair = lu_factor(system_t, overwrite_a=True)
+            lu_pair = lu_factor(system_t, overwrite_a=True, check_finite=False)
         return lu_pair, _reciprocal_condition(lu_pair, norm1)
     except np.linalg.LinAlgError:
         return None, 0.0
@@ -137,33 +142,37 @@ def _repair_positivity(rho: np.ndarray):
     return rho, clip_magnitude
 
 
-def _nullspace_count(eigvals: np.ndarray, norm1: float, tol: float | None = None) -> int:
-    """Eigenvalues within tol of zero; every one of them for a zero generator.
+def _real_blocks(me: MasterEquationSpec):
+    """The parity frame's basis and blocks, and the generator's real blocks in it."""
+    basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    return basis, blocks, hermitian_blocks(liouvillian(*operators), blocks)
 
-    tol defaults to NULLSPACE_TOL_SCALE times the generator's 1-norm.
+
+def _nullspace_count(spectra, parts) -> int:
+    """Eigenvalues of the blocks, whose spectra together are the generator's, near zero.
+
+    The cutoff is NULLSPACE_TOL_SCALE times the largest block 1-norm; a zero
+    generator's eigenvalues are all exactly zero and all count.
     """
-    if norm1 == 0.0:
-        return eigvals.size
-    if tol is None:
-        tol = NULLSPACE_TOL_SCALE * norm1
-    return int(np.sum(np.abs(eigvals) < tol))
+    norm1 = max(float(np.linalg.norm(part, 1)) for part in parts)
+    return int(np.sum(np.abs(np.concatenate(spectra)) <= NULLSPACE_TOL_SCALE * norm1))
 
 
-def _eigenvector_solve(parts, dim: int):
+def _eigenvector_solve(me: MasterEquationSpec):
     """Nullspace count and slowest even-block eigenvector, one eigendecomposition per block.
 
-    The real Hermitian-coordinate blocks together have the complex
-    generator's spectrum and its 1-norm, the largest of theirs; the state's
+    The blocks are built again, since the factors overwrote them.  The count
+    is _nullspace_count's, against the largest real block 1-norm; the state's
     trace is the sum of the even block's first dim (diagonal) coordinates.
     """
+    _, _, parts = _real_blocks(me)
     spectra = [scipy.linalg.eig(part) for part in parts]
-    norm1 = max(float(np.linalg.norm(part, 1)) for part in parts)
-    dimension = _nullspace_count(np.concatenate([w for w, _ in spectra]), norm1)
+    dimension = _nullspace_count([w for w, _ in spectra], parts)
     if dimension >= 2:
         raise DegenerateSteadyStateError(dimension)
     eigvals, eigvecs = spectra[0]
     x = eigvecs[:, int(np.argmin(np.abs(eigvals)))]
-    trace = x[:dim].sum()
+    trace = x[: me.dim].sum()
     if abs(trace) < 1e-12:
         raise SteadyStateNumericsError(
             "slowest eigenvector is traceless; cannot normalize to a state"
@@ -181,14 +190,15 @@ def _residual(h: np.ndarray, collapse_ops, rho: np.ndarray) -> float:
     return float(np.max(np.abs(drho)))
 
 
-def nullspace_dimension(me: MasterEquationSpec, tol: float | None = None) -> int:
-    """Number of generator eigenvalues within tol of zero.
+def nullspace_dimension(me: MasterEquationSpec) -> int:
+    """Number of generator eigenvalues near zero, counted as on the eigenvector fallback.
 
-    tol defaults to 1e-10 times the generator's 1-norm.  A zero generator
-    (no Hamiltonian, no dissipation) fixes every state: returns dim**2.
+    Runs one eigenvalue decomposition per real block steady_state solves.  A
+    zero generator (no Hamiltonian, no dissipation) fixes every state:
+    returns dim**2.
     """
-    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    return _nullspace_count(scipy.linalg.eigvals(liouv), float(np.linalg.norm(liouv, 1)), tol)
+    _, _, parts = _real_blocks(me)
+    return _nullspace_count([scipy.linalg.eigvals(part) for part in parts], parts)
 
 
 def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
@@ -207,10 +217,9 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     right-hand side at the state actually returned, computed from the model's
     own operators.
     """
-    basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
     # The blocks are written over the complex generator and factored in
     # place; the rare eigenvector fallback assembles the generator again.
-    parts = hermitian_blocks(liouvillian(*operators), blocks)
+    basis, blocks, parts = _real_blocks(me)
     factors = []
     for k, system in enumerate(parts):
         # The block is C-ordered, so its transpose is the Fortran-ordered
@@ -225,8 +234,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     rcond = min(block_rcond for _, block_rcond in factors)
     if rcond < RCOND_TOL:
         method = "eigenvector"
-        parts = hermitian_blocks(liouvillian(*operators), blocks)
-        even, dimension = _eigenvector_solve(parts, me.dim)
+        even, dimension = _eigenvector_solve(me)
     else:
         method = "trace_replacement"
         dimension = 1

@@ -63,20 +63,19 @@ def default_cluster_tol(h_strong) -> float:
     return CLUSTER_TOL_SCALE * float(np.linalg.norm(h_strong, 2))
 
 
-def eigenprojections(h_strong, cluster_tol: float | None = None):
+def eigenprojections(h_strong):
     """Eigenprojections of a Hermitian operator, degenerate clusters merged.
 
-    Eigenvalues whose gaps are within cluster_tol are treated as one
-    eigenspace.  The returned projections resolve the identity and are
-    mutually orthogonal by construction.
+    Eigenvalues whose gaps are within default_cluster_tol(h_strong) are
+    treated as one eigenspace.  The returned projections resolve the
+    identity and are mutually orthogonal by construction.
     """
     h_strong = np.asarray(h_strong, dtype=complex)
     if hermiticity_defect(h_strong) > ALGEBRAIC_TOL:
         raise ValueError(
             f"strong term must be Hermitian; defect {hermiticity_defect(h_strong):.3e}"
         )
-    if cluster_tol is None:
-        cluster_tol = default_cluster_tol(h_strong)
+    cluster_tol = default_cluster_tol(h_strong)
     eigvals, eigvecs = np.linalg.eigh(h_strong)
     projections = []
     start = 0
@@ -93,14 +92,14 @@ def eigenprojections(h_strong, cluster_tol: float | None = None):
     return tuple(projections)
 
 
-def zeno_hamiltonian(h_weak, h_strong, cluster_tol: float | None = None) -> np.ndarray:
+def zeno_hamiltonian(h_weak, h_strong) -> np.ndarray:
     """sum_n P_n h_weak P_n over the strong term's eigenprojections."""
     h_weak = np.asarray(h_weak, dtype=complex)
     h_strong = np.asarray(h_strong, dtype=complex)
     if h_weak.shape != h_strong.shape:
         raise ValueError(f"shape mismatch: weak {h_weak.shape}, strong {h_strong.shape}")
     result = np.zeros_like(h_weak)
-    for proj in eigenprojections(h_strong, cluster_tol):
+    for proj in eigenprojections(h_strong):
         result += proj.projector @ h_weak @ proj.projector
     return result
 
@@ -201,9 +200,7 @@ def _intersect_with_vacuum(zero_proj: np.ndarray, vac_proj: np.ndarray) -> np.nd
     return basis
 
 
-def derive_effective_model(
-    p: ModelParams, cluster_tol: float | None = None
-) -> ZenoDerivation:
+def derive_effective_model(p: ModelParams) -> ZenoDerivation:
     """Project a full model onto the zero cluster's zero-photon block.
 
     The resulting five-level Hamiltonian and collapse operators are expressed
@@ -214,7 +211,7 @@ def derive_effective_model(
     if not p.variant.is_full:
         raise ValueError(f"variant {p.variant.value} is not a full model")
     h_strong, h_weak = full_hamiltonian_split(p)
-    projections = eigenprojections(h_strong, cluster_tol)
+    projections = eigenprojections(h_strong)
     zero = min(projections, key=lambda proj: abs(proj.eigenvalue))
     if abs(zero.eigenvalue) > default_cluster_tol(h_strong):
         raise DerivationError(
@@ -243,7 +240,7 @@ def derive_effective_model(
         columns.append(vec)
     basis = np.column_stack(columns)
 
-    h_z = zeno_hamiltonian(h_weak, h_strong, cluster_tol)
+    h_z = zeno_hamiltonian(h_weak, h_strong)
     h_block = basis.conj().T @ h_z @ basis
 
     kept, dropped = project_dissipators(full_collapse_ops(p), zero.projector, basis)

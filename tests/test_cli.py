@@ -304,16 +304,38 @@ def test_unknown_config_name(capsys):
         ["sweep", "fig3", "--gamma-range", "0.1:0.1:1", "--kappa-range", "0.3:0.3:1",
          "--c-list", "inf"],
         ["derive", "fig3", "--set", "delta=nan"],
+        # Finite rates whose Hamiltonian overflows.
+        ["steady", "fig3", "--set", "delta=1e308", "-o", "out.json"],
+        ["evolve", "fig1c", "--set", "delta=1e308"],
+        ["sweep", "fig3", "--set", "delta=1e308", "--gamma-range", "0.1:0.1:1",
+         "--kappa-range", "0.3:0.3:1"],
+        ["derive", "fig3", "--set", "delta=1e308", "-o", "out.json"],
     ],
     ids=[
         "gamma-nan", "kappa-inf", "delta-mult-inf", "dt-nan", "t_end-inf", "omega-nan",
         "range-nan", "range-inf", "c-list-inf", "delta-nan",
+        "steady-h-overflow", "evolve-h-overflow", "sweep-h-overflow", "derive-h-overflow",
     ],
 )
 def test_non_finite_numbers_are_config_errors(tmp_path, capsys, argv):
     assert main(argv) == 2
     assert "finite" in capsys.readouterr().err
     # Rejected before any solve: no output file.
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["steady", "fig3", "--set", "delta=5e307", "-o", "out.json"],
+        ["evolve", "fig1c", "--set", "delta=5e307", "--set", "t_end=1"],
+    ],
+    ids=["steady", "evolve"],
+)
+def test_overflowing_generator_is_a_physics_error(tmp_path, capsys, argv):
+    # The operators are finite, but the generator built from them is not.
+    assert main(argv) == 1
+    assert "overflow double precision" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -293,17 +293,29 @@ def test_parity_blocks_evolve_like_one_block(me, steps, stride, seed):
 
 
 def test_trace_guard_fires_on_nan():
-    # A NaN in the generator gives NaN readings; no projector is recorded,
-    # so the trace guard alone must catch them.
-    def poisoned(h, ops):
-        liouv = liouvillian(h, ops)
-        liouv[0, 0] = np.nan
-        return liouv
+    # A NaN in the propagator of a finite generator, as from a power that
+    # overflowed, gives NaN readings; no projector is recorded, so the trace
+    # guard alone must catch them.
+    real = dynamics.rk4_propagator
+
+    def poisoned(liouv, dt):
+        prop = real(liouv, dt)
+        prop[0, 0] = np.nan
+        return prop
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "liouvillian", poisoned)
+        mp.setattr(dynamics, "rk4_propagator", poisoned)
         with pytest.raises(IntegrationError, match=r"trace drifted by nan at t=\d"):
             evolve(damping_model(0.5), P1.astype(complex), 1.0, 0.01, [("X", SIGMA_X)])
+
+
+def test_non_finite_generator_is_named():
+    # Finite operators whose generator overflows: no step size can mend
+    # that, so the error names the generator, before any propagator.
+    decay = np.array([[0.0, 1.0], [0.0, 0.0]])
+    me = toy_model(np.diag([1e308, -1e308]), [decay])
+    with pytest.raises(IntegrationError, match="generator entries are not finite"):
+        evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
 
 
 @st.composite

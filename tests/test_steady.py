@@ -22,7 +22,7 @@ from zenocav import (
 )
 import zenocav.steady as steady_mod
 from zenocav.operators import devectorize, hermiticity_defect, vectorize
-from zenocav.steady import nullspace_dimension
+from zenocav.steady import NULLSPACE_TOL_SCALE, nullspace_dimension
 
 from conftest import (
     damping_model,
@@ -131,6 +131,42 @@ def test_nullspace_of_unique_case():
         assert steady_state(me).nullspace_dimension == nullspace_dimension(me) == 1
 
 
+def test_nullspace_dimension_decomposes_each_real_block(monkeypatch):
+    # One assembly and one real eigenvalue decomposition per parity block, as
+    # on the eigenvector fallback; no decomposition of the complex generator.
+    me = build_model(resolve_config("fig3").params)
+    calls = {"liouvillian": [], "eig": [], "eigvals": []}
+    counting(monkeypatch, steady_mod, "liouvillian", calls["liouvillian"])
+    counting(monkeypatch, scipy.linalg, "eig", calls["eig"])
+    counting(monkeypatch, scipy.linalg, "eigvals", calls["eigvals"])
+    assert nullspace_dimension(me) == 1
+    assert len(calls["liouvillian"]) == 1 and calls["eig"] == []
+    systems = [args[0] for args in calls["eigvals"]]
+    assert [system.shape for system in systems] == [(369, 369), (360, 360)]
+    assert all(system.dtype == np.float64 for system in systems)
+
+
+@given(symmetric_open_systems(), st.booleans())
+def test_block_nullspace_count_matches_complex_generator(me, unitary):
+    # Without dissipation every projector on an eigenvector of h is
+    # stationary, so the count is at least dim and spreads over the blocks
+    # when h has degenerate levels of opposite parity.
+    if unitary:
+        me = replace(me, collapse_ops=())
+    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
+    norm1 = np.abs(liouv).sum(axis=0).max()
+    scale = np.linalg.norm(me.hamiltonian) + sum(np.linalg.norm(c) ** 2 for c in me.collapse_ops)
+    # The parity rotation is exact only to rounding in the operators, which
+    # swamps a generator far smaller than they are (h near a multiple of the
+    # identity), and the two counts' cutoffs, relative to different norms,
+    # differ by tens of percent: both need the spectrum well clear of them.
+    assume(norm1 >= 1e-4 * scale)
+    moduli = np.abs(scipy.linalg.eigvals(liouv))
+    assume(not np.any((moduli > 1e-12 * norm1) & (moduli < 1e-8 * norm1)))
+    expected = moduli.size if norm1 == 0.0 else int(np.sum(moduli < NULLSPACE_TOL_SCALE * norm1))
+    assert nullspace_dimension(me) == expected
+
+
 # -- numerics -----------------------------------------------------------------------
 
 
@@ -149,6 +185,17 @@ def test_repaired_state_is_positive(weak_drive_params):
     assert eigvals.min() >= -1e-14
     assert np.trace(result.rho).real == pytest.approx(1.0, abs=1e-12)
     assert result.clip_magnitude < 1e-9
+
+
+def test_overflowing_generator_raises_numerics_error(monkeypatch):
+    # The operators are finite, but the generator overflows: the norm taken
+    # before the LU names that, and the LU itself checks nothing.
+    decay = np.array([[0.0, 1.0], [0.0, 0.0]])
+    calls = []
+    counting(monkeypatch, steady_mod, "lu_factor", calls)
+    with pytest.raises(SteadyStateNumericsError, match="overflow double precision"):
+        steady_state(toy_model(np.diag([1e308, -1e308]), [decay]))
+    assert calls == []
 
 
 def test_eigenvector_fallback_on_feeble_generator():
@@ -294,7 +341,7 @@ def test_odd_block_degeneracy_is_not_missed(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError) as excinfo:
         steady_state(me)
     assert [args[0].shape for args in calls] == [(2, 2), (2, 2)]
-    assert excinfo.value.dimension == 2
+    assert excinfo.value.dimension == nullspace_dimension(me) == 2
     with pytest.raises(DegenerateSteadyStateError):
         steady_state(replace(me, symmetry=None))
 
@@ -423,14 +470,15 @@ def test_diagnostics_fields(weak_drive_params):
 
 @pytest.mark.parametrize(
     "variant, generator_sizes",
-    [(Variant.BELL_FULL, 1.1), (Variant.KLM_FULL, 1.1)],
+    [(Variant.BELL_FULL, 1.05), (Variant.KLM_FULL, 1.05)],
     ids=["bell-parity-blocks", "klm-one-block"],
 )
 def test_steady_state_memory_peak(variant, generator_sizes):
     # The real blocks are written over the complex generator, so the peak is
-    # that one generator plus row-block temporaries and the LU's finiteness
-    # check, whichever variant: 1.04 and 1.06 generator sizes here.  Blocks
-    # built beside the generator read 1.28 (two parity blocks) and 1.54 (one).
+    # that one generator plus row-block temporaries, whichever variant: 1.04
+    # generator sizes here.  The LU's own finiteness check, a bool copy of
+    # the block, read 1.06 on klm's one block; blocks built beside the
+    # generator read 1.28 (two parity blocks) and 1.54 (one).
     params = replace(resolve_config("preset1").params.with_variant(variant), n_max=3)
     me = build_model(params)
     result, peak = traced_peak(steady_state, me)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from zenocav import (
     ModelParams,
@@ -13,6 +15,7 @@ from zenocav import (
     reference_model,
     resolve_config,
 )
+from zenocav.cli import DERIVE_REGRESSION_TOL
 from zenocav.models import full_hamiltonian_split
 from zenocav.zeno import (
     canonical_phase,
@@ -238,6 +241,29 @@ def test_asymmetric_drive_derivation_matches_reduced_model():
     assert derivation.basis_labels == ("00", "01", "10", "11", "D")
     comparison = compare_derivation(derivation, reference_model(p))
     assert comparison.max_deviation < 1e-10
+
+
+@given(
+    st.sampled_from([Variant.BELL_FULL, Variant.KLM_FULL]),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.floats(-2.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.floats(0.0, 2.0),
+    st.integers(1, 3),
+    st.floats(0.5, 2.0),
+)
+def test_derivation_matches_reference_over_random_params(
+    variant, omega, omega_mw, delta, gamma, kappa, n_max, g
+):
+    # The projection is exact at zeroth order, whatever the rates, the
+    # truncation and the coupling unit.
+    p = ModelParams(
+        omega=omega, omega_mw=omega_mw, delta=delta, gamma=gamma, kappa=kappa,
+        variant=variant, n_max=n_max, g=g,
+    )
+    comparison = compare_derivation(derive_effective_model(p), reference_model(p))
+    assert comparison.max_deviation <= DERIVE_REGRESSION_TOL
 
 
 def test_derivation_insensitive_to_truncation(weak_drive_params):
