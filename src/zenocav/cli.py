@@ -28,7 +28,7 @@ from .dynamics import IntegrationError, evolve
 from .models import STATE_LABELS, build_model, named_state, target_label
 from .operators import operator_to_dict
 from .steady import DegenerateSteadyStateError, SteadyStateNumericsError, steady_state
-from .sweeps import fidelity, grid_sweep, iso_cooperativity_optimum, population, resolve_workers
+from .sweeps import fidelity, grid_sweep, iso_cooperativity_optimum, population
 from .zeno import DerivationError, canonical_phase, compare_derivation, derive_effective_model, reference_model
 
 EXIT_OK = 0
@@ -187,11 +187,9 @@ def cmd_sweep(args) -> int:
     state = args.state or target_label(params.variant)
     if state not in STATE_LABELS:
         raise ConfigError(f"--state must be one of {', '.join(STATE_LABELS)}, got {state!r}")
-    try:
-        workers = resolve_workers(args.workers)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    grid = grid_sweep(params, gamma_values, kappa_values, state, workers=workers)
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be >= 1, got {args.workers}")
+    grid = grid_sweep(params, gamma_values, kappa_values, state, workers=args.workers)
     prefix = args.output or Path(args.config).stem
     grid_path = Path(f"{prefix}_grid.csv")
     grid.to_csv(grid_path)
@@ -320,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated cooperativities; best population along each curve",
     )
     p_sweep.add_argument("--state", help="state label to record (default: the variant's target)")
-    p_sweep.add_argument("--workers", type=int, default=None, help="parallel solver processes")
+    p_sweep.add_argument("--workers", type=int, default=1, help="parallel solver processes")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_derive = sub.add_parser("derive", help="project a full model and compare with its reduced form")
@@ -334,7 +332,10 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        # The guards name an overflow in their own message; numpy's warnings
+        # would only print internals above it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.func(args)
     except ConfigError as exc:
         print(str(exc), file=sys.stderr)
         return EXIT_CONFIG

@@ -6,18 +6,21 @@ reading is a real dot product.  M is time independent, so a classical RK4
 step of size h is exactly the degree-4 Taylor polynomial of exp(h M) applied
 to the state.  That matrix is built once and raised to the sampling stride
 P, which turns a million-step integration into a handful of dense matrix
-products.  A model whose operators respect its symmetry evolves in the
-symmetry's parity basis, where M splits into an even and an odd block that
-never mix; each is built straight from the complex generator and propagated
-on its own, at about a quarter of the cost of the whole, and the readings of
-the two blocks add.  The readings ``R P^k x`` at the samples come by baby
-steps and giant steps: the rows ``R P^j`` for j below BABY_STEPS and the
-states ``P^(BABY_STEPS i) x``, so that one product of the two stacks reads
-every sample and only one state product in BABY_STEPS is paid.  The
-polynomial keeps the trace exactly, so a step size too large for the
-generator shows as populations leaving [0, 1], or, once the giant steps
-overflow, as a trace that is no longer 1.  Fixed steps keep sample grids
-bit-reproducible so overlay comparisons between models are well defined.
+products.  Every such propagator is a polynomial in M, so they commute: the
+steps after the last whole stride, and a final partial step, are applied to
+the initial state first, while M is still at hand.  A model whose operators
+respect its symmetry evolves in the symmetry's parity basis, where M splits
+into an even and an odd block that never mix; each is built straight from
+the complex generator and propagated on its own, at about a quarter of the
+cost of the whole, and the readings of the two blocks add.  The readings
+``R P^k x`` at the samples come by baby steps and giant steps: the rows
+``R P^j`` for j below BABY_STEPS and the states ``P^(BABY_STEPS i) x``, so
+that one product of the two stacks reads every sample and only one state
+product in BABY_STEPS is paid.  The polynomial keeps the trace exactly, so a
+step size too large for the generator shows as populations leaving [0, 1],
+or, once the giant steps overflow, as a trace that is no longer 1.  Fixed
+steps keep sample grids bit-reproducible so overlay comparisons between
+models are well defined.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ POPULATION_SLACK = 1e-6
 # The propagator keeps the trace exactly in exact arithmetic, so drift above
 # this means rounding on a state that has grown far out of range.
 TRACE_ABORT = 1e-4
-# Samples per baby-step group of the readout (see _readings).  A group pays
+# Samples per baby-step group of the readout (see _advance).  A group pays
 # one state product (n^2, n the block's coordinate count) where stepping
 # pays BABY_STEPS; the one-off cost grows with it: BABY_STEPS - 1 products
 # of the few readout rows with P (n^2 each) and log2(BABY_STEPS) squarings
@@ -109,53 +112,50 @@ def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     return t
 
 
-def _propagators(parts, dt, stride, count, rest, remainder):
-    """Propagators of the next block: ``(P, P**BABY_STEPS, irregular, tail)``.
-
-    The block's generator is popped off the front of ``parts`` so that this
-    frame holds its only reference and can free it; a generator passed as an
-    argument stays alive in the caller until the call returns.  P advances
-    one stride, irregular the last ``rest`` steps and tail the final
-    ``remainder`` of a step; each is None where the schedule has none.
-    """
-    generator = parts.pop(0)
-    tail = rk4_propagator(generator, remainder) if remainder else None
-    step = rk4_propagator(generator, dt) if count else None
-    del generator  # matrix_power's temporaries need the room
-    power = np.linalg.matrix_power(step, stride) if count else None
-    irregular = np.linalg.matrix_power(step, rest) if rest else None
-    del step
-    giant = np.linalg.matrix_power(power, BABY_STEPS) if count >= BABY_STEPS else None
-    return power, giant, irregular, tail
-
-
-def _readings(propagators, readout, x, count):
+def _advance(parts, idx, readout, x0, dt, stride, count, rest, remainder):
     """One block's readings at every sample, and its final state.
 
-    The first count + 1 samples read ``readout P^k x``.  With k = m i + j,
-    that is the baby-step row ``readout P^j`` dotted with the giant-step
-    state ``P^(m i) x``, so one product of the stacked rows with the stacked
-    states reads them all.
+    The generator is popped off ``parts`` so that this frame holds its only
+    reference and can free it.  The first count + 1 samples read
+    ``readout P^k x0``, P the propagator of one stride; with k = m i + j that
+    is the baby-step row ``readout P^j`` dotted with the giant-step state
+    ``P^(m i) x0``, so one product of the stacked rows and states reads them
+    all.  The propagators are polynomials in the generator and commute, so
+    the last ``rest`` steps and the ``remainder`` step act on x0 first, in
+    the columns of ``ends``, which then advance along with the states.
     """
-    power, giant, irregular, tail = propagators
+    generator = parts.pop(0)
+    ends = [x0] if rest else []
+    if remainder:
+        ends.append(rk4_propagator(generator, remainder) @ x0)
+    ends = np.reshape(ends, (-1, x0.size)).T
+    if count:
+        step = rk4_propagator(generator, dt)
+        del generator  # matrix_power's temporaries need the room
+        if rest:
+            ends = np.linalg.matrix_power(step, rest) @ ends
+        power = np.linalg.matrix_power(step, stride)
+        del step
+    states = [x0]
+    if count >= BABY_STEPS:
+        giant = np.linalg.matrix_power(power, BABY_STEPS)
+        for _ in range(count // BABY_STEPS):
+            states.append(giant @ states[-1])
+            ends = giant @ ends
+    # Gathered after the powers, whose temporaries set the memory peak.
+    readout = readout[:, idx]
     m = min(BABY_STEPS, count + 1)
     rows = [readout]
     for _ in range(m - 1):
         rows.append(rows[-1] @ power)
-    states = [x]
-    for _ in range(count // BABY_STEPS):
-        states.append(giant @ states[-1])
     grid = np.concatenate(rows) @ np.array(states).T
     n_rows = readout.shape[0]
-    readings = [grid.reshape(m, n_rows, -1).transpose(2, 0, 1).reshape(-1, n_rows)[: count + 1]]
+    readings = grid.reshape(m, n_rows, -1).transpose(2, 0, 1).reshape(-1, n_rows)[: count + 1]
     x = states[-1]
     for _ in range(count % BABY_STEPS):
         x = power @ x
-    for prop in (irregular, tail):
-        if prop is not None:
-            x = prop @ x
-            readings.append((readout @ x)[None])
-    return np.vstack(readings), x
+        ends = power @ ends
+    return np.vstack([readings, (readout @ ends).T]), ends[:, -1] if ends.size else x
 
 
 def evolve(
@@ -188,14 +188,14 @@ def evolve(
     is real, and in the parity basis of the model's symmetry when that holds
     on its operators, one block of coordinates at a time; the final state is
     rotated back.  The samples one stride apart are read by baby steps and
-    giant steps (see _readings); a shorter last advance and the remainder
-    step are applied one after the other.  Raises IntegrationError on a
-    generator entry that is not finite, and, naming the first offending
-    sample time, when a population leaves [0, 1] or the trace drifts beyond
-    1e-4 or is not a number.  RK4 keeps the trace exactly, and the baby-step
-    rows keep the trace row, so a dt too large for the generator's stiffness
-    shows as a population out of range, or as trace drift at the first giant
-    step that overflows.
+    giant steps (see _advance); the steps after the last whole stride and
+    the remainder step are applied to the initial state first.  Raises
+    IntegrationError on a generator entry that is not finite, and, naming
+    the first offending sample time, when a population leaves [0, 1] or the
+    trace drifts beyond 1e-4 or is not a number.  RK4 keeps the trace
+    exactly, and the baby-step rows keep the trace row, so a dt too large
+    for the generator's stiffness shows as a population out of range, or as
+    trace drift at the first giant step that overflows.
     """
     rho0 = np.asarray(rho0, dtype=complex)
     if rho0.shape != me.hamiltonian.shape:
@@ -212,9 +212,6 @@ def evolve(
 
     basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
 
-    def in_frame(op):
-        return op if basis is None else basis @ op @ basis.T
-
     labels = []
     # Row 0 reads the trace; row k reads Tr(op_k rho) = to_hermitian(op_k) . x,
     # with op_k taken into the frame the state evolves in.
@@ -229,7 +226,7 @@ def evolve(
         if np.max(np.abs(op @ op - op)) <= ALGEBRAIC_TOL:
             guarded.append(k)
         labels.append(label)
-        readout.append(to_hermitian(in_frame(op)))
+        readout.append(to_hermitian(basis @ op @ basis.T))
     readout = np.array(readout)
 
     # The sample schedule: step counts at the samples and the sample times.
@@ -256,17 +253,14 @@ def evolve(
         raise IntegrationError(
             "generator entries are not finite: the rates overflow double precision"
         )
-    readings, finals = 0.0, []
+    # Each block's coordinates advance in place; the blocks never mix.
+    x = to_hermitian(basis @ rho0 @ basis.T)
+    readings = 0.0
     for idx in blocks:
-        propagators = _propagators(parts, dt, stride, count, rest, remainder)
-        # The block's readout and state are built after its powers, whose
-        # temporaries set the memory peak.
-        block_readings, x = _readings(
-            propagators, readout[:, idx], to_hermitian(in_frame(rho0))[idx], count
+        block_readings, x[idx] = _advance(
+            parts, idx, readout, x[idx], dt, stride, count, rest, remainder
         )
-        del propagators  # before the next block's powers
         readings = readings + block_readings
-        finals.append(x)
 
     for t, row in zip(times, readings):
         drift = abs(row[0] - 1.0)
@@ -282,14 +276,9 @@ def evolve(
                     f"population {labels[k]!r} = {float(row[k + 1])!r} out of range at t={t:g}"
                 )
 
-    x = np.empty(rho0.size)
-    for idx, part in zip(blocks, finals):
-        x[idx] = part
-    final_state = from_hermitian(x)
-    if basis is not None:
-        final_state = basis.T @ final_state @ basis
-        # The rotation leaves a rounding-sized anti-Hermitian part.
-        final_state = (final_state + final_state.conj().T) / 2.0
+    final_state = basis.T @ from_hermitian(x) @ basis
+    # The rotation leaves a rounding-sized anti-Hermitian part.
+    final_state = (final_state + final_state.conj().T) / 2.0
     return Trajectory(
         times=np.array(times),
         records={lb: readings[:, k + 1] for k, lb in enumerate(labels)},

@@ -288,11 +288,11 @@ def parity_frame(h, collapse_ops, symmetry):
     :func:`parity_blocks`, holds on the operators (``U h U^dag = h``, and
     ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
     its parity basis, the (even, odd) coordinate blocks and the operators
-    rotated into that basis.  Otherwise, symmetry None included: basis None,
-    one block of every coordinate and the operators as they are.
+    rotated into that basis.  Otherwise, symmetry None included: the identity
+    as basis, one block of every coordinate and the operators as they are.
     """
     dim = h.shape[0]
-    whole = None, (np.arange(dim**2),), h, collapse_ops
+    whole = np.eye(dim), (np.arange(dim**2),), h, collapse_ops
     if symmetry is None:
         return whole
     perm, sign = symmetry

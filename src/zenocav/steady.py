@@ -244,9 +244,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         even = lu_solve(factors[0][0], rhs, trans=1)
     x = np.zeros(me.dim**2)
     x[blocks[0]] = even
-    rho = from_hermitian(x)
-    if basis is not None:
-        rho = basis.T @ rho @ basis
+    rho = basis.T @ from_hermitian(x) @ basis
 
     rho, clip_magnitude = _repair_positivity(rho)
     residual = _residual(me.hamiltonian, me.collapse_ops, rho)

@@ -9,7 +9,6 @@ diagnostic instead of aborting the sweep.
 from __future__ import annotations
 
 import math
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 
@@ -24,8 +23,6 @@ from .steady import DegenerateSteadyStateError, SteadyStateNumericsError, steady
 GAMMA_SEARCH_TOL = 1e-3
 # Stage-one scan density along an iso-cooperativity curve.
 SCAN_POINTS = 25
-
-WORKERS_ENV = "ZENOCAV_WORKERS"
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
@@ -112,26 +109,17 @@ def _solve_grid_point(task):
         return index, math.nan, str(exc)
 
 
-def resolve_workers(workers=None) -> int:
-    """The worker count: workers, else ZENOCAV_WORKERS, else 1; at least 1."""
-    text = str(os.environ.get(WORKERS_ENV, "1") if workers is None else workers)
-    if not text.strip().isdigit() or int(text) < 1:
-        raise ValueError(f"workers (or {WORKERS_ENV}) must be an integer >= 1, got {text!r}")
-    return int(text)
-
-
 def grid_sweep(
     base: ModelParams,
     gamma_values,
     kappa_values,
     state_label: str,
-    workers: int | None = None,
+    workers: int = 1,
 ) -> SweepGrid:
     """Stationary population of one state over a (gamma, kappa) lattice.
 
     Each point replaces gamma and kappa in the base parameters and solves
-    independently.  workers > 1 fans points out over processes (defaults to
-    the ZENOCAV_WORKERS environment variable, else serial); output is
+    independently.  workers > 1 fans points out over processes; output is
     identical regardless of worker count.
     """
     if not base.variant.is_full:
@@ -140,6 +128,8 @@ def grid_sweep(
     kappa_values = np.asarray(kappa_values, dtype=float)
     if np.any(gamma_values <= 0) or np.any(kappa_values < 0):
         raise ValueError("gamma must be positive and kappa non-negative")
+    if workers < 1:
+        raise ValueError(f"workers must be >= 1, got {workers}")
 
     tasks = []
     for i, gamma in enumerate(gamma_values):
@@ -147,7 +137,6 @@ def grid_sweep(
             params = replace(base, gamma=float(gamma), kappa=float(kappa))
             tasks.append(((i, j), params, state_label))
 
-    workers = resolve_workers(workers)
     if workers == 1:
         outcomes = list(map(_solve_grid_point, tasks))
     else:

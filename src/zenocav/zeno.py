@@ -59,24 +59,21 @@ class Eigenprojection:
         return int(round(np.trace(self.projector).real))
 
 
-def default_cluster_tol(h_strong) -> float:
-    return CLUSTER_TOL_SCALE * float(np.linalg.norm(h_strong, 2))
-
-
 def eigenprojections(h_strong):
     """Eigenprojections of a Hermitian operator, degenerate clusters merged.
 
-    Eigenvalues whose gaps are within default_cluster_tol(h_strong) are
-    treated as one eigenspace.  The returned projections resolve the
-    identity and are mutually orthogonal by construction.
+    Eigenvalues whose gaps are within CLUSTER_TOL_SCALE times the spectral
+    norm, the largest eigenvalue magnitude, are treated as one eigenspace.
+    The returned projections resolve the identity and are mutually
+    orthogonal by construction.
     """
     h_strong = np.asarray(h_strong, dtype=complex)
     if hermiticity_defect(h_strong) > ALGEBRAIC_TOL:
         raise ValueError(
             f"strong term must be Hermitian; defect {hermiticity_defect(h_strong):.3e}"
         )
-    cluster_tol = default_cluster_tol(h_strong)
     eigvals, eigvecs = np.linalg.eigh(h_strong)
+    cluster_tol = CLUSTER_TOL_SCALE * float(np.abs(eigvals).max())
     projections = []
     start = 0
     for stop in range(1, len(eigvals) + 1):
@@ -92,14 +89,15 @@ def eigenprojections(h_strong):
     return tuple(projections)
 
 
-def zeno_hamiltonian(h_weak, h_strong) -> np.ndarray:
+def zeno_hamiltonian(h_weak, projections) -> np.ndarray:
     """sum_n P_n h_weak P_n over the strong term's eigenprojections."""
     h_weak = np.asarray(h_weak, dtype=complex)
-    h_strong = np.asarray(h_strong, dtype=complex)
-    if h_weak.shape != h_strong.shape:
-        raise ValueError(f"shape mismatch: weak {h_weak.shape}, strong {h_strong.shape}")
     result = np.zeros_like(h_weak)
-    for proj in eigenprojections(h_strong):
+    for proj in projections:
+        if proj.projector.shape != h_weak.shape:
+            raise ValueError(
+                f"shape mismatch: weak {h_weak.shape}, projector {proj.projector.shape}"
+            )
         result += proj.projector @ h_weak @ proj.projector
     return result
 
@@ -213,7 +211,8 @@ def derive_effective_model(p: ModelParams) -> ZenoDerivation:
     h_strong, h_weak = full_hamiltonian_split(p)
     projections = eigenprojections(h_strong)
     zero = min(projections, key=lambda proj: abs(proj.eigenvalue))
-    if abs(zero.eigenvalue) > default_cluster_tol(h_strong):
+    spectral_norm = max(abs(proj.eigenvalue) for proj in projections)
+    if abs(zero.eigenvalue) > CLUSTER_TOL_SCALE * spectral_norm:
         raise DerivationError(
             f"no zero eigenvalue cluster; closest is {zero.eigenvalue:.3e}"
         )
@@ -240,7 +239,7 @@ def derive_effective_model(p: ModelParams) -> ZenoDerivation:
         columns.append(vec)
     basis = np.column_stack(columns)
 
-    h_z = zeno_hamiltonian(h_weak, h_strong)
+    h_z = zeno_hamiltonian(h_weak, projections)
     h_block = basis.conj().T @ h_z @ basis
 
     kept, dropped = project_dissipators(full_collapse_ops(p), zero.projector, basis)

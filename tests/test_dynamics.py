@@ -81,27 +81,31 @@ def test_propagator_holds_one_product():
 
 
 @pytest.mark.parametrize(
-    "preset, t_end, bound",
+    "preset, t_end, stride, bound",
     [
-        pytest.param("fig1c", None, 2.25, id="stride"),
-        pytest.param("fig1c", 10.001, 2.75, id="remainder"),
-        pytest.param("fig4c", None, 2.25, id="one-block-stride"),
-        pytest.param("fig4c", 10.001, 2.75, id="one-block-remainder"),
+        pytest.param("fig1c", None, None, 2.25, id="stride"),
+        pytest.param("fig1c", 10.001, None, 2.25, id="remainder"),
+        pytest.param("fig4c", None, None, 2.25, id="one-block-stride"),
+        pytest.param("fig4c", 10.001, None, 2.25, id="one-block-remainder"),
+        pytest.param("fig4c", 12.0, 700, 2.25, id="one-block-rest"),
     ],
 )
-def test_evolve_memory_peak(preset, t_end, bound):
-    # In complex generator sizes: the stride power runs on the real generator,
-    # half that size, as the step propagator and matrix_power's three
-    # operands; a remainder step keeps one more real propagator alive.
-    # fig1c evolves in two parity blocks of about a quarter of that each;
-    # fig4c (klm_full) has no symmetry and evolves as one block.
+def test_evolve_memory_peak(preset, t_end, stride, bound):
+    # In complex generator sizes: each power runs on the real generator, half
+    # that size, as the matrix it raises and matrix_power's three operands.
+    # The remainder step and the steps after the last whole stride are
+    # applied to the initial state before the stride power is built, so they
+    # add no propagator to that peak.  fig1c evolves in two parity blocks of
+    # about a quarter of that each; fig4c (klm_full) has no symmetry and
+    # evolves as one block.
     config = resolve_config(preset)
     run, params = config.run, config.params
     me = build_model(params)
     rho0 = initial_density_matrix(run.initial_state, params)
     target = named_state("S", params).projector
     traj, peak = traced_peak(
-        evolve, me, rho0, t_end or run.t_end, run.dt, [("P_S", target)], run.sample_stride
+        evolve, me, rho0, t_end or run.t_end, run.dt, [("P_S", target)],
+        stride or run.sample_stride,
     )
     assert traj.final_report.passed
     assert peak <= bound * params.dim**4 * 16
@@ -254,15 +258,18 @@ def small_runs(draw):
     a, w, obs = draw(square), draw(square), draw(square)
     rho0 = w @ w.conj().T + 1e-3 * np.eye(dim)
     me = toy_model(a + a.conj().T, draw(st.lists(square, max_size=3)))
-    run = draw(st.integers(0, 200)), draw(st.integers(1, 12))
+    fraction = draw(st.one_of(st.just(0.0), st.floats(0.05, 0.95)))
+    run = draw(st.integers(0, 200)), draw(st.integers(1, 12)), fraction
     return me, rho0 / np.trace(rho0).real, obs + obs.conj().T, run
 
 
 @given(small_runs())
 def test_evolve_matches_naive_stepper(system):
-    me, rho0, obs, (steps, stride) = system
+    # fraction is the final partial step, in units of dt.
+    me, rho0, obs, (steps, stride, fraction) = system
     dt = 0.005
-    traj = evolve(me, rho0, steps * dt, dt, [("I", np.eye(me.dim)), ("O", obs)], stride)
+    t_end = (steps + fraction) * dt
+    traj = evolve(me, rho0, t_end, dt, [("I", np.eye(me.dim)), ("O", obs)], stride)
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
     marks = [*range(0, steps, stride), steps]
     vec = vectorize(rho0)
@@ -270,9 +277,13 @@ def test_evolve_matches_naive_stepper(system):
     for advance in np.diff([0, *marks]):
         vec = naive_rk4(liouv, vec, dt, advance)
         expected.append(np.trace(obs @ vec.reshape(rho0.shape, order="F")).real)
-    assert len(traj.times) == len(marks)
+    if fraction:
+        vec = naive_rk4(liouv, vec, t_end - steps * dt, 1)
+        expected.append(np.trace(obs @ vec.reshape(rho0.shape, order="F")).real)
+    assert len(traj.times) == len(expected)
     assert np.max(np.abs(traj.records["O"] - expected)) <= 1e-10
     assert np.max(np.abs(traj.records["I"] - 1.0)) <= 1e-12
+    assert np.max(np.abs(traj.final_state - vec.reshape(rho0.shape, order="F"))) <= 1e-10
     assert abs(np.trace(traj.final_state) - 1.0) <= 1e-12
 
 

@@ -94,15 +94,14 @@ def test_sweep_values_are_populations(weak_drive_params):
     assert np.all(grid.values <= 1.0)
 
 
-def test_sweep_deterministic_and_parallel_identical(weak_drive_params, monkeypatch):
+def test_sweep_deterministic_and_parallel_identical(weak_drive_params):
     gammas = [0.05, 0.2]
     kappas = [0.1, 0.3]
     first = grid_sweep(weak_drive_params, gammas, kappas, "S")
     second = grid_sweep(weak_drive_params, gammas, kappas, "S")
     assert np.array_equal(first.values, second.values)
 
-    monkeypatch.setenv("ZENOCAV_WORKERS", "2")
-    fanned = grid_sweep(weak_drive_params, gammas, kappas, "S")
+    fanned = grid_sweep(weak_drive_params, gammas, kappas, "S", workers=2)
     assert np.array_equal(first.values, fanned.values)
 
 

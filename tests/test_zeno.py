@@ -96,12 +96,12 @@ def test_zero_cluster_membership(weak_drive_params):
 def test_zeno_hamiltonian_trivial_strong_term(rng):
     h_weak = rng.normal(size=(4, 4))
     h_weak = h_weak + h_weak.T
-    projected = zeno_hamiltonian(h_weak, np.zeros((4, 4)))
+    projected = zeno_hamiltonian(h_weak, eigenprojections(np.zeros((4, 4))))
     assert np.max(np.abs(projected - h_weak)) < 1e-12
 
 
 def test_zeno_hamiltonian_kills_cross_terms():
-    projected = zeno_hamiltonian(SIGMA_X, np.diag([0.0, 1.0]))
+    projected = zeno_hamiltonian(SIGMA_X, eigenprojections(np.diag([0.0, 1.0])))
     assert np.max(np.abs(projected)) < 1e-14
 
 
@@ -110,7 +110,7 @@ def test_zeno_hamiltonian_linear(rng):
         m = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
         return m + m.conj().T
 
-    strong = np.diag([0.0, 0.0, 1.0, 1.0, 2.0])
+    strong = eigenprojections(np.diag([0.0, 0.0, 1.0, 1.0, 2.0]))
     a, b = random_hermitian(), random_hermitian()
     combined = zeno_hamiltonian(2.0 * a + 3.0 * b, strong)
     separate = 2.0 * zeno_hamiltonian(a, strong) + 3.0 * zeno_hamiltonian(b, strong)
@@ -119,7 +119,7 @@ def test_zeno_hamiltonian_linear(rng):
 
 def test_zeno_hamiltonian_shape_mismatch():
     with pytest.raises(ValueError, match="shape mismatch"):
-        zeno_hamiltonian(np.eye(2), np.eye(3))
+        zeno_hamiltonian(np.eye(2), eigenprojections(np.eye(3)))
 
 
 # -- collapse-operator projection ----------------------------------------------
@@ -314,3 +314,24 @@ def test_derivation_does_not_build_the_full_model(weak_drive_params, monkeypatch
     derivation = derive_effective_model(weak_drive_params)
     assert np.array_equal(derivation.hamiltonian, expected.hamiltonian)
     assert derivation.dropped_norms == expected.dropped_norms
+
+
+def test_derivation_decomposes_the_strong_term_once(monkeypatch):
+    # One eigh of the strong term gives the clusters, their tolerance and
+    # the projections the Zeno Hamiltonian sums over; the second eigh
+    # intersects the zero cluster with the cavity vacuum.  No 2-norm SVD.
+    calls = {"eigh": 0, "norm2": 0}
+    eigh, norm = np.linalg.eigh, np.linalg.norm
+
+    def counting_eigh(*args, **kwargs):
+        calls["eigh"] += 1
+        return eigh(*args, **kwargs)
+
+    def counting_norm(x, ord=None, *args, **kwargs):
+        calls["norm2"] += ord == 2
+        return norm(x, ord, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    monkeypatch.setattr(np.linalg, "norm", counting_norm)
+    derive_effective_model(resolve_config("fig3").params)
+    assert calls == {"eigh": 2, "norm2": 0}
