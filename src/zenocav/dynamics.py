@@ -38,7 +38,6 @@ from .operators import (
     hermitian_blocks,
     hermiticity_defect,
     liouvillian,
-    parity_frame,
     to_hermitian,
     validate_density_matrix,
 )
@@ -187,7 +186,9 @@ def evolve(
     The state is integrated in real Hermitian coordinates, so every record
     is real, and in the parity basis of the model's symmetry when that holds
     on its operators, one block of coordinates at a time; the final state is
-    rotated back.  The samples one stride apart are read by baby steps and
+    rotated back.  The frame is the one me carries (see
+    MasterEquationSpec.frame); only the collapse operators, the observables
+    and the initial state are rotated here.  The samples one stride apart are read by baby steps and
     giant steps (see _advance); the steps after the last whole stride and
     the remainder step are applied to the initial state first.  Raises
     IntegrationError on a generator entry that is not finite, and, naming
@@ -210,7 +211,8 @@ def evolve(
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
-    basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    frame = me.frame
+    basis, blocks = frame.basis, frame.blocks
 
     labels = []
     # Row 0 reads the trace; row k reads Tr(op_k rho) = to_hermitian(op_k) . x,
@@ -226,7 +228,7 @@ def evolve(
         if np.max(np.abs(op @ op - op)) <= ALGEBRAIC_TOL:
             guarded.append(k)
         labels.append(label)
-        readout.append(to_hermitian(basis @ op @ basis.T))
+        readout.append(to_hermitian(frame.rotate(op)))
     readout = np.array(readout)
 
     # The sample schedule: step counts at the samples and the sample times.
@@ -247,14 +249,16 @@ def evolve(
 
     # The blocks come straight from the complex generator, each copied out of
     # its buffer, gone before any propagator, so that each can be freed alone.
-    parts = [part.copy() for part in hermitian_blocks(liouvillian(*operators), blocks)]
+    operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
+    parts = [part.copy() for part in hermitian_blocks(liouvillian(*operators), frame.plan)]
     del operators
     if not all(np.isfinite(part).all() for part in parts):
         raise IntegrationError(
             "generator entries are not finite: the rates overflow double precision"
         )
     # Each block's coordinates advance in place; the blocks never mix.
-    x = to_hermitian(basis @ rho0 @ basis.T)
+    x = to_hermitian(frame.rotate(rho0))
+    del frame
     readings = 0.0
     for idx in blocks:
         block_readings, x[idx] = _advance(

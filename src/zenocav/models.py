@@ -21,11 +21,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .operators import hermiticity_defect, tensor_product
+from .operators import Frame, hermiticity_defect, parity_frame, tensor_product
 
 # Constructed Hamiltonians are algebraically Hermitian; anything worse than
 # rounding noise means a builder bug.
@@ -141,8 +141,8 @@ class MasterEquationSpec:
 
     symmetry, when set, is a signed basis permutation ``(perm, sign)``, the
     unitary ``U|k> = sign[k] |perm[k]>``, that the model is expected to be
-    invariant under; ``steady_state`` checks it on the operators and solves
-    the generator's two parity blocks separately where it holds.
+    invariant under; ``frame`` checks it on the operators, and the solvers
+    work on the generator's two parity blocks separately where it holds.
     """
 
     hamiltonian: np.ndarray
@@ -150,6 +150,8 @@ class MasterEquationSpec:
     basis_labels: tuple
     params: ModelParams
     symmetry: tuple | None = None
+    # Set by RateFamily.at only; dataclasses.replace drops it.
+    _frame: Frame | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         h = np.asarray(self.hamiltonian, dtype=complex)
@@ -186,6 +188,18 @@ class MasterEquationSpec:
     @property
     def dim(self) -> int:
         return self.hamiltonian.shape[0]
+
+    @property
+    def frame(self) -> Frame:
+        """The parity frame the solvers work in.
+
+        A RateFamily point carries its family's, found once for every point;
+        any other spec runs parity_frame on its own operators at each read,
+        and holds nothing between solves.
+        """
+        if self._frame is not None:
+            return self._frame
+        return parity_frame(self.hamiltonian, self.collapse_ops, self.symmetry)
 
 
 @dataclass(frozen=True)
@@ -290,18 +304,23 @@ def full_hamiltonian_split(p: ModelParams):
     return h_strong, h_weak
 
 
+def _collapse_rates(p: ModelParams):
+    """The factors of full_collapse_ops: sqrt(gamma/2) on each emission, sqrt(kappa) on a."""
+    emission = math.sqrt(p.gamma / 2.0)
+    return emission, emission, emission, emission, math.sqrt(p.kappa)
+
+
 def full_collapse_ops(p: ModelParams):
     """Collapse operators of a full model, in the order _build_full documents."""
     n_max = p.n_max
-    emission = math.sqrt(p.gamma / 2.0)
-    ops = [
-        emission * atom_transition(0, 2, 0, n_max),
-        emission * atom_transition(1, 2, 0, n_max),
-        emission * atom_transition(0, 2, 1, n_max),
-        emission * atom_transition(1, 2, 1, n_max),
-        math.sqrt(p.kappa) * cavity_mode(n_max),
-    ]
-    return tuple(ops)
+    ops = (
+        atom_transition(0, 2, 0, n_max),
+        atom_transition(1, 2, 0, n_max),
+        atom_transition(0, 2, 1, n_max),
+        atom_transition(1, 2, 1, n_max),
+        cavity_mode(n_max),
+    )
+    return tuple(rate * op for rate, op in zip(_collapse_rates(p), ops))
 
 
 def _exchange_parity(n_max: int):
@@ -340,6 +359,38 @@ def _build_full(p: ModelParams) -> MasterEquationSpec:
         params=p,
         symmetry=_exchange_parity(p.n_max) if p.variant is Variant.BELL_FULL else None,
     )
+
+
+class RateFamily:
+    """One full model at every (gamma, kappa): built and framed once.
+
+    Only the collapse operators depend on the two rates, each a fixed
+    operator times sqrt(gamma/2) or sqrt(kappa).  The family builds the
+    model once at unit factors and finds its parity frame once: the
+    symmetry check, the basis and blocks, the rotated Hamiltonian and the
+    blocks' index plan.  A point is a MasterEquationSpec with the family's
+    Hamiltonian and frame and its own scaled collapse operators, entry for
+    entry those of build_model at the same parameters.
+    """
+
+    def __init__(self, base: ModelParams):
+        if not base.variant.is_full:
+            raise ValueError(f"variant {base.variant.value} has no rate family")
+        # At gamma = 2 and kappa = 1 every factor is exactly 1.
+        self.unit = build_model(replace(base, gamma=2.0, kappa=1.0))
+        self.frame = self.unit.frame
+        # The frame's plan is built at its first read: here, once, so that
+        # every point, and every worker sent the family, reuses it.
+        self.frame.plan
+
+    def at(self, params: ModelParams) -> MasterEquationSpec:
+        """The model at params, which may differ from the family's in gamma and kappa only."""
+        if replace(params, gamma=2.0, kappa=1.0) != self.unit.params:
+            raise ValueError("a family point may change gamma and kappa only")
+        ops = [rate * op for rate, op in zip(_collapse_rates(params), self.unit.collapse_ops)]
+        point = replace(self.unit, collapse_ops=ops, params=params)
+        object.__setattr__(point, "_frame", self.frame)
+        return point
 
 
 # -- reduced five-level models -----------------------------------------------

@@ -23,6 +23,7 @@ coordinates of Hermitian ``A`` and ``B``.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -147,61 +148,94 @@ def _hermitian_coordinates(dim: int):
     return np.arange(dim) * (dim + 1), i + j * dim, j + i * dim
 
 
-def hermitian_blocks(liouv: np.ndarray, blocks) -> list:
+@dataclass(frozen=True)
+class BlockPlan:
+    """The index arrays hermitian_blocks reads with, for one dim and one set of blocks.
+
+    A block is an ascending coordinate array whose Re and Im parts share
+    their pairs (parity_frame's); one of every coordinate is the whole
+    generator.  Per block, ``indices`` holds ``(re0, im0, diagonal, upper,
+    lower, rows)``: where its Re and Im coordinates start, the generator
+    columns of its diagonal coordinates and of its pairs' upper and lower
+    entries, and the rows its equations hold once hermitian_blocks has moved
+    them (the diagonal ones, then the pairs').  Everything depends on dim and
+    the blocks only, so one plan serves every generator of one frame.
+    """
+
+    dim: int
+    blocks: tuple
+    indices: tuple
+
+
+def block_plan(dim: int, blocks) -> BlockPlan:
+    """The BlockPlan of blocks over the Hermitian coordinates of dimension dim."""
+    n = dim * dim
+    diag, upper, lower = _hermitian_coordinates(dim)
+    # The equations hermitian_blocks reads, rows j*dim .. j*dim + j for each
+    # j, in order; it moves them to the last rows.
+    eqs = np.sort(np.concatenate([diag, upper]))
+    first = n - eqs.size
+    # Blocks that end short of the first moved equation cannot reach one; the
+    # parity blocks always do, and a block of every coordinate needs none.
+    if max(idx.size for idx in blocks) < n and sum(idx.size**2 for idx in blocks) > 2 * first * n:
+        raise ValueError("blocks this unequal do not fit beside the equations they read")
+    row = np.empty(n, dtype=int)
+    row[eqs] = np.arange(first, n)
+    indices = []
+    for idx in blocks:
+        re0 = int(np.searchsorted(idx, dim))
+        im0 = (re0 + idx.size) // 2
+        # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
+        pairs = idx[re0:im0] - dim
+        columns = diag[idx[:re0]], upper[pairs], lower[pairs]
+        indices.append((re0, im0, *columns, row[np.concatenate(columns[:2])]))
+    return BlockPlan(dim, tuple(blocks), tuple(indices))
+
+
+def hermitian_blocks(liouv: np.ndarray, plan: BlockPlan) -> list:
     """Diagonal blocks of the generator in real Hermitian coordinates, M = U^dag L U.
 
-    A block is an ascending coordinate array whose Re and Im parts share their
-    pairs (parity_frame's); one of every coordinate is all of M.  M is real
-    because L maps Hermitian matrices to Hermitian ones; the equation for
-    rho_ji is the conjugate of the one for rho_ij, so only the rows for i <= j
-    and each block's own columns are read; in C order a block is LAPACK's M^T.
-    The blocks are written over liouv, whose buffer they view one after the
+    The blocks are plan's (see block_plan).  M is real because L maps
+    Hermitian matrices to Hermitian ones; the equation for rho_ji is the
+    conjugate of the one for rho_ij, so only the rows for i <= j and each
+    block's own columns are read; in C order a block is LAPACK's M^T.  The
+    blocks are written over liouv, whose buffer they view one after the
     other from its start, so the generator and its blocks never take more
     than the generator's own memory.
     """
     n = liouv.shape[0]
-    dim = math.isqrt(n)
-    diag, upper, lower = _hermitian_coordinates(dim)
+    dim = plan.dim
     if not liouv.flags.c_contiguous or liouv.dtype != complex:
         raise ValueError("the generator must be a C-ordered complex128 array")
+    if liouv.shape != (dim * dim, dim * dim):
+        raise ValueError(f"generator of shape {liouv.shape} for a plan of dimension {dim}")
     # The equations read, rows j*dim .. j*dim + j for each j, move in order
     # to the last rows, the last run first, so that none lands on a row still
     # to move.  The blocks then fill the buffer from its start, each row
     # block of output no longer than the equations just read, and never reach
     # an equation still to be read.
-    eqs = np.sort(np.concatenate([diag, upper]))
-    first = n - eqs.size
+    first = n - dim * (dim + 1) // 2
     for j in range(dim - 1, -1, -1):
         at = first + j * (j + 1) // 2
         liouv[at : at + j + 1] = liouv[j * dim : j * dim + j + 1]
-    row = np.empty(n, dtype=int)
-    row[eqs] = np.arange(first, n)
-    # Blocks that end short of the first moved equation cannot reach one; the
-    # parity blocks always do, and a block of every coordinate needs none.
-    if max(idx.size for idx in blocks) < n and sum(idx.size**2 for idx in blocks) > 2 * first * n:
-        raise ValueError("blocks this unequal do not fit beside the equations they read")
     buffer = liouv.view(float).reshape(-1)
     parts, start = [], 0
-    for idx in blocks:
-        re0 = int(np.searchsorted(idx, dim))
-        im0 = (re0 + idx.size) // 2
+    for idx, (re0, im0, diag, upper, lower, rows) in zip(plan.blocks, plan.indices):
         part = buffer[start : start + idx.size**2].reshape(idx.size, idx.size)
         start += idx.size**2
         # The diagonal equations (k < 0), then the pairs', at most dim at a time.
-        # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
         for k in range(-dim, im0 - re0, dim):
             eq = slice(k, k + dim)
-            eqs = row[diag[idx[:re0]] if k < 0 else upper[idx[re0:im0][eq] - dim]]
+            eqs = rows[:re0] if k < 0 else rows[re0:][eq]
             # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
             # gathered once xl is gone, and the blocks go before the next chunk
-            # gathers its own, so at most three are alive at once; the column
-            # indices live only as long as their gather.
-            xu = liouv[np.ix_(eqs, upper[idx[re0:im0] - dim])]
-            xl = liouv[np.ix_(eqs, lower[idx[re0:im0] - dim])]
+            # gathers its own, so at most three are alive at once.
+            xu = liouv[np.ix_(eqs, upper)]
+            xl = liouv[np.ix_(eqs, lower)]
             xs = xu + xl
             xu -= xl
             del xl
-            xd = liouv[np.ix_(eqs, diag[idx[:re0]])]
+            xd = liouv[np.ix_(eqs, diag)]
             if k < 0:
                 part[:re0, :re0] = xd.real
                 part[:re0, re0:im0] = xs.real / _SQRT2
@@ -281,20 +315,61 @@ def parity_blocks(perm, sign):
     return basis, np.flatnonzero(coords > 0), np.flatnonzero(coords < 0)
 
 
-def parity_frame(h, collapse_ops, symmetry):
-    """The frame a solver works in: ``(basis, blocks, h, collapse_ops)``.
+@dataclass(frozen=True)
+class Frame:
+    """The frame a solver works in, as parity_frame finds it.
+
+    basis is the real orthogonal matrix whose rows span the frame (the
+    identity for one block), hamiltonian the Hamiltonian in it and blocks
+    its coordinate blocks.  symmetry is the ``(perm, sign)`` that held, or
+    None for the one-block frame.
+    """
+
+    basis: np.ndarray
+    hamiltonian: np.ndarray
+    blocks: tuple
+    symmetry: tuple | None
+
+    @functools.cached_property
+    def plan(self) -> BlockPlan:
+        """The blocks' BlockPlan, built at the first read.
+
+        A solve reads it after assembling the generator, so a frame built
+        for one solve holds no plan through the assembly.
+        """
+        return block_plan(self.basis.shape[0], self.blocks)
+
+    def rotate(self, op) -> np.ndarray:
+        """op in the frame's basis, as parity_frame rotates the Hamiltonian."""
+        return op if self.symmetry is None else _in_basis(op, self.basis)
+
+
+def _in_basis(op, basis) -> np.ndarray:
+    return basis @ op @ basis.T
+
+
+def parity_frame(h, collapse_ops, symmetry) -> Frame:
+    """The frame a solver works in, and the one check of the model's symmetry.
 
     Where symmetry, a signed basis involution ``(perm, sign)`` as in
     :func:`parity_blocks`, holds on the operators (``U h U^dag = h``, and
     ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
-    its parity basis, the (even, odd) coordinate blocks and the operators
-    rotated into that basis.  Otherwise, symmetry None included: the identity
-    as basis, one block of every coordinate and the operators as they are.
+    its parity basis, the (even, odd) coordinate blocks and h rotated into
+    that basis.  Otherwise, symmetry None included: the identity as basis,
+    one block of every coordinate and h as it is.  The collapse operators
+    are only checked; ``Frame.rotate`` takes each into the frame.  A model
+    runs this at each read of MasterEquationSpec.frame, a RateFamily once
+    for all its points: they share its Hamiltonian, and each collapse
+    operator and its image under the exchange parity share one rate factor,
+    so every point passes or fails as the family does.
     """
     dim = h.shape[0]
-    whole = np.eye(dim), (np.arange(dim**2),), h, collapse_ops
+
+    def whole():
+        return Frame(np.eye(dim), h, (np.arange(dim**2),), None)
+
     if symmetry is None:
-        return whole
+        return whole()
     perm, sign = symmetry
     basis, even, odd = parity_blocks(perm, sign)
     signs = np.outer(sign, sign)
@@ -309,7 +384,7 @@ def parity_frame(h, collapse_ops, symmetry):
         return np.max(np.abs(a - b)) <= SYMMETRY_TOL * np.max(np.abs(b))
 
     if not close(image(h), h):
-        return whole
+        return whole()
     unmatched = list(collapse_ops)
     for c in collapse_ops:
         mapped = image(c)
@@ -317,9 +392,9 @@ def parity_frame(h, collapse_ops, symmetry):
             (j for j, d in enumerate(unmatched) if close(mapped, d) or close(-mapped, d)), None
         )
         if match is None:
-            return whole
+            return whole()
         del unmatched[match]
-    return basis, (even, odd), basis @ h @ basis.T, [basis @ c @ basis.T for c in collapse_ops]
+    return Frame(basis, _in_basis(h, basis), (even, odd), (perm, sign))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,11 @@ A model whose operators respect its symmetry is first rotated into the
 symmetry's parity basis, where the generator splits into an even block,
 which holds every diagonal entry and so the trace constraint and the state,
 and an odd block; each is built and factored on its own, together at about
-a quarter of the cost of the whole.  A reciprocal-condition estimate on the
+a quarter of the cost of the whole.  That frame (the symmetry check, the
+basis and blocks, the rotated Hamiltonian and the blocks' index plan) is the
+one the model carries, MasterEquationSpec.frame: found once for every point
+of a RateFamily, and at each solve for any other model; a solve rotates only
+its own collapse operators into it.  A reciprocal-condition estimate on the
 factorizations flags degenerate generators without paying for an
 eigendecomposition at every call; the residual is always checked in
 operator form on the model's own Hamiltonian and collapse operators.
@@ -29,13 +33,7 @@ import scipy.linalg
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
 
 from .models import MasterEquationSpec
-from .operators import (
-    PHYSICAL_TOL,
-    from_hermitian,
-    hermitian_blocks,
-    liouvillian,
-    parity_frame,
-)
+from .operators import PHYSICAL_TOL, from_hermitian, hermitian_blocks, liouvillian
 
 # Below this reciprocal condition number a trace-replaced block is treated
 # as singular and the generator is checked for a degenerate nullspace.
@@ -143,9 +141,14 @@ def _repair_positivity(rho: np.ndarray):
 
 
 def _real_blocks(me: MasterEquationSpec):
-    """The parity frame's basis and blocks, and the generator's real blocks in it."""
-    basis, blocks, *operators = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
-    return basis, blocks, hermitian_blocks(liouvillian(*operators), blocks)
+    """The frame's basis and blocks, and the generator's real blocks in it.
+
+    Only the collapse operators are rotated here; the rest of the frame is
+    the one me carries (see MasterEquationSpec.frame).
+    """
+    frame = me.frame
+    operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
+    return frame.basis, frame.blocks, hermitian_blocks(liouvillian(*operators), frame.plan)
 
 
 def _nullspace_count(spectra, parts) -> int:
@@ -205,8 +208,9 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     """Solve for the unique stationary density matrix.
 
     Builds the blocks of the generator in real Hermitian coordinates, in the
-    parity basis when the model's symmetry holds on its operators, straight
-    from the complex generator, and LU-factors each: the even one with its
+    parity basis when the model's symmetry holds on its operators (the frame
+    me carries, see MasterEquationSpec.frame), straight from the complex
+    generator, and LU-factors each: the even one with its
     rho_00 equation replaced by the trace constraint, and the odd one, whose
     nonsingularity rules out a second, odd stationary state.  The state comes
     from the even block.  A tiny reciprocal condition number in either block

@@ -1,8 +1,12 @@
 """Scalar figures of merit and two-parameter stationary-state sweeps.
 
-Grid sweeps solve one stationary state per (gamma, kappa) point.  Points are
-independent, so the sweep optionally fans out over processes; results are
-keyed by grid index, never by completion order, and a failed point records a
+Grid sweeps and iso-cooperativity searches solve one stationary state per
+(gamma, kappa) point, every point of one model that differs from the next in
+the two rates only.  Each sweep and each curve therefore builds one
+RateFamily, which builds the model and finds its parity frame once, and
+solves each point on it.  Grid points are independent, so the sweep
+optionally fans out over processes, each sent the family; results are keyed
+by grid index, never by completion order, and a failed point records a
 diagnostic instead of aborting the sweep.
 """
 
@@ -14,7 +18,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .models import ModelParams, NamedState, build_model, named_state
+from .models import MasterEquationSpec, ModelParams, NamedState, RateFamily, named_state
 from .operators import expectation
 from .steady import DegenerateSteadyStateError, SteadyStateNumericsError, steady_state
 
@@ -96,15 +100,15 @@ class SweepGrid:
         }
 
 
-def _steady_population(params: ModelParams, state_label: str) -> float:
-    result = steady_state(build_model(params))
-    return population(result.rho, named_state(state_label, params))
+def _steady_population(me: MasterEquationSpec, state_label: str) -> float:
+    result = steady_state(me)
+    return population(result.rho, named_state(state_label, me.params))
 
 
 def _solve_grid_point(task):
-    index, params, state_label = task
+    index, family, params, state_label = task
     try:
-        return index, _steady_population(params, state_label), None
+        return index, _steady_population(family.at(params), state_label), None
     except (DegenerateSteadyStateError, SteadyStateNumericsError) as exc:
         return index, math.nan, str(exc)
 
@@ -118,9 +122,12 @@ def grid_sweep(
 ) -> SweepGrid:
     """Stationary population of one state over a (gamma, kappa) lattice.
 
-    Each point replaces gamma and kappa in the base parameters and solves
-    independently.  workers > 1 fans points out over processes; output is
-    identical regardless of worker count.
+    Each point replaces gamma and kappa in the base parameters and is
+    solved on its own, as a point of one RateFamily: the model is built and
+    its parity frame found once per sweep, not once per point.  workers > 1
+    fans points out over processes, each task carrying the family; output is
+    identical regardless of worker count, and to solving
+    build_model(replace(base, gamma=..., kappa=...)) at each point.
     """
     if not base.variant.is_full:
         raise ValueError("grid sweeps are defined for the full models")
@@ -131,11 +138,12 @@ def grid_sweep(
     if workers < 1:
         raise ValueError(f"workers must be >= 1, got {workers}")
 
+    family = RateFamily(base)
     tasks = []
     for i, gamma in enumerate(gamma_values):
         for j, kappa in enumerate(kappa_values):
             params = replace(base, gamma=float(gamma), kappa=float(kappa))
-            tasks.append(((i, j), params, state_label))
+            tasks.append(((i, j), family, params, state_label))
 
     if workers == 1:
         outcomes = list(map(_solve_grid_point, tasks))
@@ -188,7 +196,8 @@ def iso_cooperativity_optimum(
     """Maximize the stationary population along kappa = g^2/(C gamma).
 
     A log-spaced scan brackets the maximum, then a golden-section pass
-    narrows the bracket to GAMMA_SEARCH_TOL.
+    narrows the bracket to GAMMA_SEARCH_TOL.  Every point is solved on one
+    RateFamily of base, so the model is built once per curve.
     """
     if not 0 < c < math.inf:
         raise ValueError(f"cooperativity must be positive and finite, got {c}")
@@ -198,6 +207,7 @@ def iso_cooperativity_optimum(
     if not base.variant.is_full:
         raise ValueError("iso-cooperativity search is defined for the full models")
 
+    family = RateFamily(base)
     cache = {}
 
     def value_at(gamma: float) -> float:
@@ -205,7 +215,7 @@ def iso_cooperativity_optimum(
             kappa = base.g**2 / (c * gamma)
             params = replace(base, gamma=gamma, kappa=kappa)
             try:
-                cache[gamma] = _steady_population(params, state_label)
+                cache[gamma] = _steady_population(family.at(params), state_label)
             except (DegenerateSteadyStateError, SteadyStateNumericsError):
                 cache[gamma] = -math.inf
         return cache[gamma]

@@ -294,7 +294,7 @@ def test_parity_blocks_evolve_like_one_block(me, steps, stride, seed):
     obs = rng.normal(size=(me.dim, me.dim)) + 1j * rng.normal(size=(me.dim, me.dim))
     observables = [("I", np.eye(me.dim)), ("O", obs + obs.conj().T)]
     dt = 0.001
-    assert len(parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)[1]) == 2
+    assert len(parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry).blocks) == 2
     blocks = evolve(me, rho0, steps * dt, dt, observables, stride)
     whole = evolve(replace(me, symmetry=None), rho0, steps * dt, dt, observables, stride)
     for label, _ in observables:

@@ -10,12 +10,14 @@ from zenocav import (
     build_model,
     named_state,
     resolve_config,
+    steady_state,
     target_label,
 )
 from zenocav.models import (
     BELL_EFFECTIVE_LABELS,
     KLM_EFFECTIVE_LABELS,
     STATE_LABELS,
+    RateFamily,
     atom_transition,
     cavity_mode,
     full_hamiltonian_split,
@@ -374,3 +376,40 @@ def test_symmetry_size_must_match_dimension():
     me = build_model(params(Variant.BELL_EFFECTIVE))
     with pytest.raises(ValueError, match="symmetry"):
         replace(me, symmetry=([1, 0], [1, 1]))
+
+
+# -- rate families -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("variant", [Variant.BELL_FULL, Variant.KLM_FULL], ids=["bell", "klm"])
+@pytest.mark.parametrize("name", ["fig3", "fig2b", "preset1", "preset2", "preset3"])
+def test_family_points_are_the_built_models(name, variant):
+    # A point shares the family's Hamiltonian and frame and scales the unit
+    # collapse operators; model and solve match build_model's entry for entry.
+    base = resolve_config(name).params.with_variant(variant)
+    for n_max in (1, 2, 3):
+        family = RateFamily(replace(base, n_max=n_max))
+        for gamma, kappa in ((0.1, 0.0), (0.03, 0.2)):
+            p = replace(base, n_max=n_max, gamma=gamma, kappa=kappa)
+            point, built = family.at(p), build_model(p)
+            assert point.params == p
+            assert point.frame is family.frame
+            assert np.array_equal(point.hamiltonian, built.hamiltonian)
+            assert len(point.collapse_ops) == len(built.collapse_ops) == 5
+            for c, d in zip(point.collapse_ops, built.collapse_ops):
+                assert np.array_equal(c, d)
+            ours, theirs = steady_state(point), steady_state(built)
+            assert np.array_equal(ours.rho, theirs.rho)
+            for field in ("residual", "method", "blocks", "clip_magnitude"):
+                assert getattr(ours, field) == getattr(theirs, field)
+
+
+def test_family_points_change_the_rates_only():
+    family = RateFamily(params(Variant.BELL_FULL))
+    with pytest.raises(ValueError, match="gamma and kappa only"):
+        family.at(params(Variant.BELL_FULL, delta=0.03))
+    with pytest.raises(ValueError, match="no rate family"):
+        RateFamily(params(Variant.BELL_EFFECTIVE))
+    # replace() gives a spec of its own, which finds its frame afresh.
+    point = family.at(params(Variant.BELL_FULL, gamma=0.2))
+    assert len(replace(point, symmetry=None).frame.blocks) == 1

@@ -16,6 +16,7 @@ from zenocav import (
 )
 from zenocav.models import Variant
 from zenocav.operators import (
+    block_plan,
     devectorize,
     expectation,
     from_hermitian,
@@ -325,7 +326,7 @@ def test_hermitian_generator_acts_as_the_generator(system):
     herm = x + x.conj().T
     scale = 1.0 + np.abs(h).sum() + sum(np.abs(c).sum() ** 2 for c in collapse_ops)
     direct = to_hermitian(devectorize(sop @ vectorize(herm)))
-    (generator,) = hermitian_blocks(sop, [np.arange(sop.shape[0])])
+    (generator,) = hermitian_blocks(sop, block_plan(h.shape[0], [np.arange(sop.shape[0])]))
     real = generator @ to_hermitian(herm)
     assert np.max(np.abs(real - direct)) <= 1e-12 * scale * (1.0 + np.abs(herm).max())
 
@@ -337,7 +338,9 @@ def test_hermitian_blocks_match_the_generator_column_by_column(me):
     # of every coordinate, is M's own diagonal block; the parity blocks drop
     # only M's cross-block entries, which are rounding-sized.  Rounding
     # scales with the operators, not with M, which can vanish (h = I).
-    _, blocks, h, collapse_ops = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    frame = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    blocks, h = frame.blocks, frame.hamiltonian
+    collapse_ops = [frame.rotate(c) for c in me.collapse_ops]
     assert len(blocks) == 2
     sop = liouvillian(h, collapse_ops)
     n2 = sop.shape[0]
@@ -348,7 +351,7 @@ def test_hermitian_blocks_match_the_generator_column_by_column(me):
     for split in (blocks, (np.arange(n2),)):
         # The blocks are written over the generator they are given.
         generator = sop.copy()
-        parts = hermitian_blocks(generator, split)
+        parts = hermitian_blocks(generator, block_plan(me.dim, split))
         assert [part.shape for part in parts] == [(idx.size, idx.size) for idx in split]
         for idx, part in zip(split, parts):
             assert part.flags.c_contiguous
@@ -363,14 +366,17 @@ def test_hermitian_blocks_refuses_what_it_cannot_build_in_place(rng):
     # dim 4: 16 coordinates, 6 pairs.  Splitting off one pair (its Re and Im
     # coordinates 4 and 10) leaves blocks of 14 and 2, 200 entries, more than
     # the 192 in front of the equations that are read; a generator that is
-    # not one C-ordered complex buffer has no such front.
+    # not one C-ordered complex buffer has no such front, and a plan for
+    # another dimension does not fit.
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sop = liouvillian(h + h.conj().T, [rng.normal(size=(4, 4))])
     lone = np.array([4, 10])
     with pytest.raises(ValueError, match="unequal"):
-        hermitian_blocks(sop.copy(), (np.setdiff1d(np.arange(16), lone), lone))
+        hermitian_blocks(sop.copy(), block_plan(4, (np.setdiff1d(np.arange(16), lone), lone)))
     with pytest.raises(ValueError, match="C-ordered complex128"):
-        hermitian_blocks(np.asfortranarray(sop), (np.arange(16),))
+        hermitian_blocks(np.asfortranarray(sop), block_plan(4, (np.arange(16),)))
+    with pytest.raises(ValueError, match="plan of dimension 3"):
+        hermitian_blocks(sop.copy(), block_plan(3, (np.arange(9),)))
 
 
 @pytest.mark.parametrize(

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -6,7 +7,9 @@ import pytest
 from zenocav import (
     DegenerateSteadyStateError,
     ModelParams,
+    SteadyStateNumericsError,
     Variant,
+    build_model,
     fidelity,
     grid_sweep,
     iso_cooperativity_optimum,
@@ -14,7 +17,13 @@ from zenocav import (
     population,
     resolve_config,
 )
-from zenocav.sweeps import GAMMA_SEARCH_TOL, SweepGrid, _steady_population, cooperativity
+from zenocav.sweeps import (
+    GAMMA_SEARCH_TOL,
+    SCAN_POINTS,
+    SweepGrid,
+    _steady_population,
+    cooperativity,
+)
 
 from conftest import random_density_matrix
 
@@ -77,7 +86,7 @@ def test_single_point_sweep(weak_drive_params):
     assert grid.values.shape == (1, 1)
     assert grid.n_failed == 0
     assert grid.values[0, 0] >= 0.90
-    direct = _steady_population(weak_drive_params, "S")
+    direct = _steady_population(build_model(weak_drive_params), "S")
     assert grid.values[0, 0] == direct
 
 
@@ -110,10 +119,10 @@ def test_failed_points_are_recorded(monkeypatch, weak_drive_params):
 
     real = sweeps_mod._steady_population
 
-    def flaky(params, label):
-        if params.gamma == 0.05:
+    def flaky(me, label):
+        if me.params.gamma == 0.05:
             raise DegenerateSteadyStateError(3)
-        return real(params, label)
+        return real(me, label)
 
     monkeypatch.setattr(sweeps_mod, "_steady_population", flaky)
     grid = grid_sweep(weak_drive_params, [0.05, 0.1], [0.3], "S")
@@ -123,6 +132,56 @@ def test_failed_points_are_recorded(monkeypatch, weak_drive_params):
     assert "not unique" in message
     assert math.isnan(grid.values[0, 0])
     assert math.isfinite(grid.values[1, 0])
+
+
+def counting(monkeypatch, owner, name):
+    """Replace owner.name by a wrapper that counts its calls; returns the count list."""
+    real, calls = getattr(owner, name), []
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, wrapper)
+    return calls
+
+
+def assembly_counts(monkeypatch, search):
+    import zenocav.models as models_mod
+    import zenocav.steady as steady_mod
+    import zenocav.sweeps as sweeps_mod
+
+    calls = {
+        "build_model": counting(monkeypatch, models_mod, "build_model"),
+        "parity_frame": counting(monkeypatch, models_mod, "parity_frame"),
+        "liouvillian": counting(monkeypatch, steady_mod, "liouvillian"),
+        "steady_state": counting(monkeypatch, sweeps_mod, "steady_state"),
+    }
+    search()
+    return {name: len(seen) for name, seen in calls.items()}
+
+
+def test_sweep_builds_and_frames_the_model_once(monkeypatch):
+    # One RateFamily per sweep: one model and one symmetry check, then one
+    # generator per point.
+    base = resolve_config("fig3").params
+    counts = assembly_counts(monkeypatch, lambda: grid_sweep(base, [0.05, 0.2], [0.0, 0.1, 0.3], "S"))
+    assert counts == {"build_model": 1, "parity_frame": 1, "liouvillian": 6, "steady_state": 6}
+
+
+def test_optimum_builds_the_model_once_per_curve(monkeypatch):
+    base = resolve_config("fig3").params
+    counts = assembly_counts(monkeypatch, lambda: iso_cooperativity_optimum(base, 79.0))
+    assert counts["build_model"] == counts["parity_frame"] == 1
+    assert counts["liouvillian"] == counts["steady_state"] > SCAN_POINTS
+
+
+def test_optimum_fails_when_every_curve_point_fails():
+    # Without the optical drive nothing pumps out of the dark states: every
+    # point of the curve is degenerate.
+    undriven = replace(resolve_config("fig3").params, omega=0.0, n_max=1)
+    with pytest.raises(SteadyStateNumericsError, match="every point on the C=50.0 curve failed"):
+        iso_cooperativity_optimum(undriven, 50.0)
 
 
 def test_sweep_input_validation(weak_drive_params):
@@ -183,13 +242,11 @@ def test_optimum_stays_on_curve(weak_drive_params):
 
 
 def test_optimum_beats_manual_curve_points(weak_drive_params):
-    from dataclasses import replace
-
     c = 100.0
     optimum = iso_cooperativity_optimum(weak_drive_params, c)
     for gamma in (0.02, 0.1, 0.4):
         manual = _steady_population(
-            replace(weak_drive_params, gamma=gamma, kappa=1.0 / (c * gamma)), "S"
+            build_model(replace(weak_drive_params, gamma=gamma, kappa=1.0 / (c * gamma))), "S"
         )
         assert optimum.population >= manual - 1e-12
 
