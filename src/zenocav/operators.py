@@ -320,8 +320,9 @@ class Frame:
     """The frame a solver works in, as parity_frame finds it.
 
     basis is the real orthogonal matrix whose rows span the frame (the
-    identity for one block), hamiltonian the Hamiltonian in it and blocks
-    its coordinate blocks.  symmetry is the ``(perm, sign)`` that held, or
+    identity for one block), hamiltonian the Hamiltonian in it (a parity
+    frame's less its trace part, which no generator sees) and blocks its
+    coordinate blocks.  symmetry is the ``(perm, sign)`` that held, or
     None for the one-block frame.
     """
 
@@ -341,11 +342,31 @@ class Frame:
 
     def rotate(self, op) -> np.ndarray:
         """op in the frame's basis, as parity_frame rotates the Hamiltonian."""
-        return op if self.symmetry is None else _in_basis(op, self.basis)
+        return op if self.symmetry is None else _in_parity_basis(op, *self.symmetry)
 
 
-def _in_basis(op, basis) -> np.ndarray:
-    return basis @ op @ basis.T
+def _in_parity_basis(op, perm, sign) -> np.ndarray:
+    """``basis @ op @ basis.T`` for parity_blocks' basis, as signed half-sums.
+
+    Row r of the basis is e_r for a state the involution fixes and
+    ``(e_a +- sign[a] e_b)/sqrt2`` for a pair a < b, so each entry is an
+    entry of op, ``(op[k, a] +- op[k, b])/sqrt2`` with one index fixed, or
+    ``(op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2`` with none.  A
+    multiple of the identity stays exact, and no dim^3 product is taken.
+    """
+    dim = perm.size
+    k = np.arange(dim)
+    # Row r combines states first[r] and second[r] with the factor c[r] on
+    # the second; a fixed state has c = 0.
+    first, second = np.minimum(k, perm), np.maximum(k, perm)
+    c = np.where(perm == k, 0.0, np.where(perm > k, 1.0, -1.0) * sign[first])
+    rows = op[first] + c[:, None] * op[second]
+    out = rows[:, first] + c * rows[:, second]
+    paired, fixed = k[perm != k], k[perm == k]
+    out[np.ix_(paired, paired)] *= 0.5
+    out[np.ix_(paired, fixed)] /= _SQRT2
+    out[np.ix_(fixed, paired)] /= _SQRT2
+    return out
 
 
 def parity_frame(h, collapse_ops, symmetry) -> Frame:
@@ -354,8 +375,8 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     Where symmetry, a signed basis involution ``(perm, sign)`` as in
     :func:`parity_blocks`, holds on the operators (``U h U^dag = h``, and
     ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
-    its parity basis, the (even, odd) coordinate blocks and h rotated into
-    that basis.  Otherwise, symmetry None included: the identity as basis,
+    its parity basis, the (even, odd) coordinate blocks and h, less its
+    trace part, rotated into that basis.  Otherwise, symmetry None included: the identity as basis,
     one block of every coordinate and h as it is.  The collapse operators
     are only checked; ``Frame.rotate`` takes each into the frame.  A model
     runs this at each read of MasterEquationSpec.frame, a RateFamily once
@@ -394,7 +415,12 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
         if match is None:
             return whole()
         del unmatched[match]
-    return Frame(basis, _in_basis(h, basis), (even, odd), (perm, sign))
+    # The generator sees only h's traceless part.  Rotated less its trace
+    # part, h keeps what a near multiple of the identity holds beside it:
+    # diag(1 + eps, 1 - eps) is diag(1, 1) in double precision, but
+    # diag(eps, -eps) is exact.
+    traceless = h - np.trace(h).real / dim * np.eye(dim)
+    return Frame(basis, _in_parity_basis(traceless, perm, sign), (even, odd), (perm, sign))
 
 
 @dataclass(frozen=True)

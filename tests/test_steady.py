@@ -329,6 +329,23 @@ def swap_symmetric_toy(h, collapse_ops):
     return replace(toy_model(h, collapse_ops), symmetry=([1, 0], [1, 1]))
 
 
+def test_rotation_keeps_the_identity_exact():
+    # h = I + eps sigma_x with no dissipation: the generator is -i eps
+    # [sigma_x, .], two zero and two +-2i eps eigenvalues.  Rotated with two
+    # products by 1/sqrt2, I picked up rounding far above eps, and the blocks
+    # counted four; the signed half-sums keep I exact.
+    eps = 2.35e-38
+    h = np.eye(2) + eps * np.array([[0.0, 1.0], [1.0, 0.0]])
+    me = swap_symmetric_toy(h, [])
+    moduli = np.abs(scipy.linalg.eigvals(liouvillian(h, [])))
+    norm1 = np.abs(liouvillian(h, [])).sum(axis=0).max()
+    assert int(np.sum(moduli <= NULLSPACE_TOL_SCALE * norm1)) == 2
+    assert nullspace_dimension(me) == 2
+    frame = me.frame
+    assert len(frame.blocks) == 2
+    assert np.array_equal(frame.rotate(np.eye(2)), np.eye(2))
+
+
 def test_odd_block_degeneracy_is_not_missed(monkeypatch):
     # Pure dephasing along sigma_z, which the swap maps to -sigma_z: the even
     # block (populations of |+>, |->) is nonsingular after trace replacement,
