@@ -188,9 +188,10 @@ def evolve(
     on its operators, one block of coordinates at a time; the final state is
     rotated back.  The frame is the one me carries (see
     MasterEquationSpec.frame); only the collapse operators, the observables
-    and the initial state are rotated here.  The samples one stride apart are read by baby steps and
-    giant steps (see _advance); the steps after the last whole stride and
-    the remainder step are applied to the initial state first.  Raises
+    and the initial state are rotated here.  The samples one stride apart
+    are read by baby steps and giant steps (see _advance); the steps after
+    the last whole stride and the remainder step are applied to the initial
+    state first.  Raises
     IntegrationError on a generator entry that is not finite, and, naming
     the first offending sample time, when a population leaves [0, 1] or the
     trace drifts beyond 1e-4 or is not a number.  RK4 keeps the trace

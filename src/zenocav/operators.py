@@ -376,13 +376,14 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     :func:`parity_blocks`, holds on the operators (``U h U^dag = h``, and
     ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
     its parity basis, the (even, odd) coordinate blocks and h, less its
-    trace part, rotated into that basis.  Otherwise, symmetry None included: the identity as basis,
-    one block of every coordinate and h as it is.  The collapse operators
-    are only checked; ``Frame.rotate`` takes each into the frame.  A model
-    runs this at each read of MasterEquationSpec.frame, a RateFamily once
-    for all its points: they share its Hamiltonian, and each collapse
-    operator and its image under the exchange parity share one rate factor,
-    so every point passes or fails as the family does.
+    trace part, rotated into that basis.  Otherwise, symmetry None included:
+    the identity as basis, one block of every coordinate and h as it is.
+    The collapse operators are only checked; ``Frame.rotate`` takes each
+    into the frame.  A model runs this at each read of
+    MasterEquationSpec.frame, a RateFamily once for all its points: they
+    share its Hamiltonian, and each collapse operator and its image under
+    the exchange parity share one rate factor, so every point passes or
+    fails as the family does.
     """
     dim = h.shape[0]
 

@@ -146,7 +146,7 @@ def counting(monkeypatch, owner, name):
     return calls
 
 
-def assembly_counts(monkeypatch, search):
+def assembly_counts(monkeypatch, search, *args):
     import zenocav.models as models_mod
     import zenocav.steady as steady_mod
     import zenocav.sweeps as sweeps_mod
@@ -157,7 +157,7 @@ def assembly_counts(monkeypatch, search):
         "liouvillian": counting(monkeypatch, steady_mod, "liouvillian"),
         "steady_state": counting(monkeypatch, sweeps_mod, "steady_state"),
     }
-    search()
+    search(*args)
     return {name: len(seen) for name, seen in calls.items()}
 
 
@@ -165,13 +165,13 @@ def test_sweep_builds_and_frames_the_model_once(monkeypatch):
     # One RateFamily per sweep: one model and one symmetry check, then one
     # generator per point.
     base = resolve_config("fig3").params
-    counts = assembly_counts(monkeypatch, lambda: grid_sweep(base, [0.05, 0.2], [0.0, 0.1, 0.3], "S"))
+    counts = assembly_counts(monkeypatch, grid_sweep, base, [0.05, 0.2], [0.0, 0.1, 0.3], "S")
     assert counts == {"build_model": 1, "parity_frame": 1, "liouvillian": 6, "steady_state": 6}
 
 
 def test_optimum_builds_the_model_once_per_curve(monkeypatch):
     base = resolve_config("fig3").params
-    counts = assembly_counts(monkeypatch, lambda: iso_cooperativity_optimum(base, 79.0))
+    counts = assembly_counts(monkeypatch, iso_cooperativity_optimum, base, 79.0)
     assert counts["build_model"] == counts["parity_frame"] == 1
     assert counts["liouvillian"] == counts["steady_state"] > SCAN_POINTS
 
