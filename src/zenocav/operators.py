@@ -157,8 +157,8 @@ class BlockPlan:
     generator.  Per block, ``indices`` holds ``(re0, im0, diagonal, upper,
     lower, rows)``: where its Re and Im coordinates start, the generator
     columns of its diagonal coordinates and of its pairs' upper and lower
-    entries, and the rows its equations hold once hermitian_blocks has moved
-    them (the diagonal ones, then the pairs').  Everything depends on dim and
+    entries, and, as one column, the rows its equations hold once
+    hermitian_blocks has moved them (the diagonal ones, then the pairs').  Everything depends on dim and
     the blocks only, so one plan serves every generator of one frame.
     """
 
@@ -188,7 +188,9 @@ def block_plan(dim: int, blocks) -> BlockPlan:
         # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
         pairs = idx[re0:im0] - dim
         columns = diag[idx[:re0]], upper[pairs], lower[pairs]
-        indices.append((re0, im0, *columns, row[np.concatenate(columns[:2])]))
+        # The rows as a column, so that rows[a:b] and a column array index
+        # the generator as np.ix_ would.
+        indices.append((re0, im0, *columns, row[np.concatenate(columns[:2])][:, None]))
     return BlockPlan(dim, tuple(blocks), tuple(indices))
 
 
@@ -230,12 +232,12 @@ def hermitian_blocks(liouv: np.ndarray, plan: BlockPlan) -> list:
             # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
             # gathered once xl is gone, and the blocks go before the next chunk
             # gathers its own, so at most three are alive at once.
-            xu = liouv[np.ix_(eqs, upper)]
-            xl = liouv[np.ix_(eqs, lower)]
+            xu = liouv[eqs, upper]
+            xl = liouv[eqs, lower]
             xs = xu + xl
             xu -= xl
             del xl
-            xd = liouv[np.ix_(eqs, diag)]
+            xd = liouv[eqs, diag]
             if k < 0:
                 part[:re0, :re0] = xd.real
                 part[:re0, re0:im0] = xs.real / _SQRT2
@@ -322,14 +324,14 @@ class Frame:
     basis is the real orthogonal matrix whose rows span the frame (the
     identity for one block), hamiltonian the Hamiltonian in it (a parity
     frame's less its trace part, which no generator sees) and blocks its
-    coordinate blocks.  symmetry is the ``(perm, sign)`` that held, or
-    None for the one-block frame.
+    coordinate blocks.  rotation is the _parity_rotation of the symmetry
+    that held, or None for the one-block frame.
     """
 
     basis: np.ndarray
     hamiltonian: np.ndarray
     blocks: tuple
-    symmetry: tuple | None
+    rotation: tuple | None
 
     @functools.cached_property
     def plan(self) -> BlockPlan:
@@ -342,31 +344,36 @@ class Frame:
 
     def rotate(self, op) -> np.ndarray:
         """op in the frame's basis, as parity_frame rotates the Hamiltonian."""
-        return op if self.symmetry is None else _in_parity_basis(op, *self.symmetry)
+        return op if self.rotation is None else _in_parity_basis(op, self.rotation)
 
 
-def _in_parity_basis(op, perm, sign) -> np.ndarray:
-    """``basis @ op @ basis.T`` for parity_blocks' basis, as signed half-sums.
+def _parity_rotation(perm, sign):
+    """What _in_parity_basis needs of a signed involution: ``(first, second, c, weight)``.
 
-    Row r of the basis is e_r for a state the involution fixes and
-    ``(e_a +- sign[a] e_b)/sqrt2`` for a pair a < b, so each entry is an
-    entry of op, ``(op[k, a] +- op[k, b])/sqrt2`` with one index fixed, or
-    ``(op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2`` with none.  A
-    multiple of the identity stays exact, and no dim^3 product is taken.
+    Row r of parity_blocks' basis is e_r for a state the involution fixes
+    and ``(e_a +- sign[a] e_b)/sqrt2`` for a pair a < b: it combines states
+    first[r] and second[r] with the factor c[r] on the second (0 for a fixed
+    state), and weight[r] is 2 for a pair's row and 1 for a fixed one.
     """
-    dim = perm.size
-    k = np.arange(dim)
-    # Row r combines states first[r] and second[r] with the factor c[r] on
-    # the second; a fixed state has c = 0.
+    k = np.arange(perm.size)
     first, second = np.minimum(k, perm), np.maximum(k, perm)
     c = np.where(perm == k, 0.0, np.where(perm > k, 1.0, -1.0) * sign[first])
+    return first, second, c, np.where(perm == k, 1.0, 2.0)
+
+
+def _in_parity_basis(op, rotation) -> np.ndarray:
+    """``basis @ op @ basis.T`` for parity_blocks' basis, as signed half-sums.
+
+    Each entry is an entry of op, ``(op[k, a] +- op[k, b])/sqrt2`` with one
+    index fixed, or ``(op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2``
+    with none.  A multiple of the identity stays exact, and no dim^3
+    product is taken.
+    """
+    first, second, c, weight = rotation
     rows = op[first] + c[:, None] * op[second]
-    out = rows[:, first] + c * rows[:, second]
-    paired, fixed = k[perm != k], k[perm == k]
-    out[np.ix_(paired, paired)] *= 0.5
-    out[np.ix_(paired, fixed)] /= _SQRT2
-    out[np.ix_(fixed, paired)] /= _SQRT2
-    return out
+    sums = rows[:, first] + c * rows[:, second]
+    # sqrt is correctly rounded: the divisors are exactly 1, sqrt2 and 2.
+    return sums / np.sqrt(np.outer(weight, weight))
 
 
 def parity_frame(h, collapse_ops, symmetry) -> Frame:
@@ -421,7 +428,8 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     # diag(1 + eps, 1 - eps) is diag(1, 1) in double precision, but
     # diag(eps, -eps) is exact.
     traceless = h - np.trace(h).real / dim * np.eye(dim)
-    return Frame(basis, _in_parity_basis(traceless, perm, sign), (even, odd), (perm, sign))
+    rotation = _parity_rotation(perm, sign)
+    return Frame(basis, _in_parity_basis(traceless, rotation), (even, odd), rotation)
 
 
 @dataclass(frozen=True)
