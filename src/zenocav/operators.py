@@ -158,8 +158,9 @@ class BlockPlan:
     lower, rows)``: where its Re and Im coordinates start, the generator
     columns of its diagonal coordinates and of its pairs' upper and lower
     entries, and, as one column, the rows its equations hold once
-    hermitian_blocks has moved them (the diagonal ones, then the pairs').  Everything depends on dim and
-    the blocks only, so one plan serves every generator of one frame.
+    hermitian_blocks has moved them (the diagonal ones, then the pairs').
+    Everything depends on dim and the blocks only, so one plan serves every
+    generator of one frame.
     """
 
     dim: int
