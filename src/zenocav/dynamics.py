@@ -20,7 +20,12 @@ product in BABY_STEPS is paid.  The polynomial keeps the trace exactly, so a
 step size too large for the generator shows as populations leaving [0, 1],
 or, once the giant steps overflow, as a trace that is no longer 1.  Fixed
 steps keep sample grids bit-reproducible so overlay comparisons between
-models are well defined.
+models are well defined.  Every product with the generator, the propagators
+or the states is a BLAS call through scipy (see _matmul), as every threaded
+BLAS and LAPACK call in the package is: a pip-installed numpy and scipy each
+load their own OpenBLAS, whose worker threads spin for a while after each
+parallel call, so products on numpy's between two steady-state LUs on
+scipy's would leave one runtime's threads on the cores the other needs.
 """
 
 from __future__ import annotations
@@ -28,6 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
 
 from .models import MasterEquationSpec
 from .operators import (
@@ -54,9 +60,6 @@ TRACE_ABORT = 1e-4
 # (n^3 each) for the giant step.  At dim 27 on two cores evolve takes the
 # same time from 8 to 32 and more above, where the squarings dominate.
 BABY_STEPS = 16
-# Sample times are compared with this absolute tolerance (floating-point
-# accumulation of n*dt differs between runs with different strides).
-TIME_ATOL = 1e-9
 
 
 class IntegrationError(RuntimeError):
@@ -94,6 +97,29 @@ class Trajectory:
                 fh.write(",".join(row) + "\n")
 
 
+def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on scipy's BLAS, for a C-ordered matrix a and a C-ordered b.
+
+    The BLAS reads Fortran-ordered matrices, and the transpose of a
+    C-ordered array is one, so no operand is copied: a vector b is gemv's
+    ``(a^T)^T b``, and a matrix b gives gemm's ``(b^T a^T)^T``, C-ordered.
+    """
+    if b.ndim == 1:
+        return get_blas_funcs("gemv", (a, b))(1.0, a.T, b, trans=1)
+    return get_blas_funcs("gemm", (a, b))(1.0, b.T, a.T).T
+
+
+def _power(a: np.ndarray, n: int) -> np.ndarray:
+    """a**n for n >= 1, squaring as np.linalg.matrix_power does, on _matmul."""
+    z = result = None
+    while n:
+        z = a if z is None else _matmul(z, z)
+        n, bit = divmod(n, 2)
+        if bit:
+            result = z if result is None else _matmul(result, z)
+    return result
+
+
 def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     """One Runge-Kutta step as a matrix: the degree-4 Taylor sum of exp(dt L)."""
     a = dt * liouv
@@ -103,10 +129,10 @@ def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     t = a / 4.0
     for k in (3.0, 2.0):
         t.flat[diag] += 1.0
-        t = a @ t
+        t = _matmul(a, t)
         t /= k
     t.flat[diag] += 1.0
-    t = a @ t
+    t = _matmul(a, t)
     t.flat[diag] += 1.0
     return t
 
@@ -126,35 +152,36 @@ def _advance(parts, idx, readout, x0, dt, stride, count, rest, remainder):
     generator = parts.pop(0)
     ends = [x0] if rest else []
     if remainder:
-        ends.append(rk4_propagator(generator, remainder) @ x0)
-    ends = np.reshape(ends, (-1, x0.size)).T
+        ends.append(_matmul(rk4_propagator(generator, remainder), x0))
+    ends = np.stack(ends, axis=1) if ends else np.empty((x0.size, 0))
     if count:
         step = rk4_propagator(generator, dt)
-        del generator  # matrix_power's temporaries need the room
+        del generator  # the powers' products need the room
         if rest:
-            ends = np.linalg.matrix_power(step, rest) @ ends
-        power = np.linalg.matrix_power(step, stride)
+            ends = _matmul(_power(step, rest), ends)
+        power = _power(step, stride)
         del step
     states = [x0]
     if count >= BABY_STEPS:
-        giant = np.linalg.matrix_power(power, BABY_STEPS)
+        giant = _power(power, BABY_STEPS)
         for _ in range(count // BABY_STEPS):
-            states.append(giant @ states[-1])
-            ends = giant @ ends
-    # Gathered after the powers, whose temporaries set the memory peak.
-    readout = readout[:, idx]
+            states.append(_matmul(giant, states[-1]))
+            ends = _matmul(giant, ends)
+    # Gathered after the powers, whose products set the memory peak; take
+    # keeps C order, where readout[:, idx] comes out Fortran-ordered.
+    readout = readout.take(idx, axis=1)
     m = min(BABY_STEPS, count + 1)
     rows = [readout]
     for _ in range(m - 1):
-        rows.append(rows[-1] @ power)
-    grid = np.concatenate(rows) @ np.array(states).T
+        rows.append(_matmul(rows[-1], power))
+    grid = _matmul(np.concatenate(rows), np.column_stack(states))
     n_rows = readout.shape[0]
     readings = grid.reshape(m, n_rows, -1).transpose(2, 0, 1).reshape(-1, n_rows)[: count + 1]
     x = states[-1]
     for _ in range(count % BABY_STEPS):
-        x = power @ x
-        ends = power @ ends
-    return np.vstack([readings, (readout @ ends).T]), ends[:, -1] if ends.size else x
+        x = _matmul(power, x)
+        ends = _matmul(power, ends)
+    return np.vstack([readings, _matmul(readout, ends).T]), ends[:, -1] if ends.size else x
 
 
 def evolve(
@@ -213,7 +240,6 @@ def evolve(
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
     frame = me.frame
-    basis, blocks = frame.basis, frame.blocks
 
     labels = []
     # Row 0 reads the trace; row k reads Tr(op_k rho) = to_hermitian(op_k) . x,
@@ -238,8 +264,7 @@ def evolve(
     # t_end.
     n_steps = int(np.floor(t_end / dt + 1e-12))
     remainder = t_end - n_steps * dt
-    marks = [*range(0, n_steps, sample_stride), n_steps]
-    times = [m * dt for m in marks]
+    times = [m * dt for m in (*range(0, n_steps, sample_stride), n_steps)]
     if remainder < 1e-12 * max(1.0, abs(t_end)):
         times[-1] = t_end
         remainder = 0.0
@@ -259,9 +284,8 @@ def evolve(
         )
     # Each block's coordinates advance in place; the blocks never mix.
     x = to_hermitian(frame.rotate(rho0))
-    del frame
     readings = 0.0
-    for idx in blocks:
+    for idx in frame.blocks:
         block_readings, x[idx] = _advance(
             parts, idx, readout, x[idx], dt, stride, count, rest, remainder
         )
@@ -281,7 +305,7 @@ def evolve(
                     f"population {labels[k]!r} = {float(row[k + 1])!r} out of range at t={t:g}"
                 )
 
-    final_state = basis.T @ from_hermitian(x) @ basis
+    final_state = frame.rotate_back(from_hermitian(x))
     # The rotation leaves a rounding-sized anti-Hermitian part.
     final_state = (final_state + final_state.conj().T) / 2.0
     return Trajectory(
@@ -290,19 +314,3 @@ def evolve(
         final_state=final_state,
         final_report=validate_density_matrix(final_state, INTEGRATION_TOL),
     )
-
-
-def compare_trajectories(a: Trajectory, b: Trajectory, label: str) -> float:
-    """Max absolute deviation of one observable between two runs.
-
-    The runs must share the sample grid (same times within 1e-9).
-    """
-    if len(a.times) != len(b.times):
-        raise ValueError(
-            f"sample grids differ in length: {len(a.times)} vs {len(b.times)}"
-        )
-    if np.max(np.abs(a.times - b.times)) > TIME_ATOL:
-        raise ValueError("sample grids differ beyond tolerance")
-    if label not in a.records or label not in b.records:
-        raise KeyError(f"observable {label!r} missing from one trajectory")
-    return float(np.max(np.abs(a.records[label] - b.records[label])))

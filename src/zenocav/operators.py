@@ -322,14 +322,15 @@ def parity_blocks(perm, sign):
 class Frame:
     """The frame a solver works in, as parity_frame finds it.
 
-    basis is the real orthogonal matrix whose rows span the frame (the
-    identity for one block), hamiltonian the Hamiltonian in it (a parity
-    frame's less its trace part, which no generator sees) and blocks its
-    coordinate blocks.  rotation is the _parity_rotation of the symmetry
-    that held, or None for the one-block frame.
+    basis is the real orthogonal matrix whose rows span a parity frame, or
+    None for the one-block frame, which is the model's own basis;
+    hamiltonian the Hamiltonian in it (a parity frame's less its trace
+    part, which no generator sees) and blocks its coordinate blocks.
+    rotation is the _parity_rotation of the symmetry that held, or None for
+    the one-block frame.
     """
 
-    basis: np.ndarray
+    basis: np.ndarray | None
     hamiltonian: np.ndarray
     blocks: tuple
     rotation: tuple | None
@@ -341,11 +342,15 @@ class Frame:
         A solve reads it after assembling the generator, so a frame built
         for one solve holds no plan through the assembly.
         """
-        return block_plan(self.basis.shape[0], self.blocks)
+        return block_plan(self.hamiltonian.shape[0], self.blocks)
 
     def rotate(self, op) -> np.ndarray:
         """op in the frame's basis, as parity_frame rotates the Hamiltonian."""
         return op if self.rotation is None else _in_parity_basis(op, self.rotation)
+
+    def rotate_back(self, op) -> np.ndarray:
+        """op from the frame's basis back into the model's, ``basis^T @ op @ basis``."""
+        return op if self.rotation is None else self.basis.T @ op @ self.basis
 
 
 def _parity_rotation(perm, sign):
@@ -385,7 +390,7 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
     its parity basis, the (even, odd) coordinate blocks and h, less its
     trace part, rotated into that basis.  Otherwise, symmetry None included:
-    the identity as basis, one block of every coordinate and h as it is.
+    no basis, one block of every coordinate and h as it is.
     The collapse operators are only checked; ``Frame.rotate`` takes each
     into the frame.  A model runs this at each read of
     MasterEquationSpec.frame, a RateFamily once for all its points: they
@@ -396,7 +401,7 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     dim = h.shape[0]
 
     def whole():
-        return Frame(np.eye(dim), h, (np.arange(dim**2),), None)
+        return Frame(None, h, (np.arange(dim**2),), None)
 
     if symmetry is None:
         return whole()

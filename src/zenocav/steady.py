@@ -17,10 +17,12 @@ its own collapse operators into it.  A reciprocal-condition estimate on the
 factorizations flags degenerate generators without paying for an
 eigendecomposition at every call; the residual is always checked in
 operator form on the model's own Hamiltonian and collapse operators.
-Every LAPACK call goes through scipy.linalg, whose OpenBLAS runs the LU:
-pip-installed numpy and scipy each load their own OpenBLAS, and a numpy
-call between two solves wakes numpy's worker threads, which then spin on
-the cores the next LU needs.
+Every threaded BLAS or LAPACK call in the package goes through scipy, on
+one OpenBLAS runtime: pip-installed numpy and scipy each load their own,
+and a threaded numpy call between two solves, or between a solve and an
+evolution, would wake numpy's worker threads, which then spin on the cores
+the next LU or product needs.  Here that is the LU, its condition estimate
+and the eigendecompositions, through scipy.linalg.
 """
 
 from __future__ import annotations
@@ -141,14 +143,14 @@ def _repair_positivity(rho: np.ndarray):
 
 
 def _real_blocks(me: MasterEquationSpec):
-    """The frame's basis and blocks, and the generator's real blocks in it.
+    """The frame and the generator's real blocks in it.
 
     Only the collapse operators are rotated here; the rest of the frame is
     the one me carries (see MasterEquationSpec.frame).
     """
     frame = me.frame
     operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
-    return frame.basis, frame.blocks, hermitian_blocks(liouvillian(*operators), frame.plan)
+    return frame, hermitian_blocks(liouvillian(*operators), frame.plan)
 
 
 def _nullspace_count(spectra, parts) -> int:
@@ -168,7 +170,7 @@ def _eigenvector_solve(me: MasterEquationSpec):
     is _nullspace_count's, against the largest real block 1-norm; the state's
     trace is the sum of the even block's first dim (diagonal) coordinates.
     """
-    _, _, parts = _real_blocks(me)
+    _, parts = _real_blocks(me)
     spectra = [scipy.linalg.eig(part) for part in parts]
     dimension = _nullspace_count([w for w, _ in spectra], parts)
     if dimension >= 2:
@@ -200,7 +202,7 @@ def nullspace_dimension(me: MasterEquationSpec) -> int:
     zero generator (no Hamiltonian, no dissipation) fixes every state:
     returns dim**2.
     """
-    _, _, parts = _real_blocks(me)
+    _, parts = _real_blocks(me)
     return _nullspace_count([scipy.linalg.eigvals(part) for part in parts], parts)
 
 
@@ -223,7 +225,8 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     """
     # The blocks are written over the complex generator and factored in
     # place; the rare eigenvector fallback assembles the generator again.
-    basis, blocks, parts = _real_blocks(me)
+    frame, parts = _real_blocks(me)
+    blocks = frame.blocks
     factors = []
     for k, system in enumerate(parts):
         # The block is C-ordered, so its transpose is the Fortran-ordered
@@ -248,7 +251,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         even = lu_solve(factors[0][0], rhs, trans=1)
     x = np.zeros(me.dim**2)
     x[blocks[0]] = even
-    rho = basis.T @ from_hermitian(x) @ basis
+    rho = frame.rotate_back(from_hermitian(x))
 
     rho, clip_magnitude = _repair_positivity(rho)
     residual = _residual(me.hamiltonian, me.collapse_ops, rho)

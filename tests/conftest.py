@@ -17,6 +17,9 @@ settings.load_profile("deterministic")
 
 # Mixed initial state used by the population-transfer runs.
 TRANSFER_MIXTURE = (("g00", 0.3), ("g11", 0.15), ("g10", 0.45), ("g01", 0.1))
+# Sample times are compared with this absolute tolerance (floating-point
+# accumulation of n*dt differs between runs with different strides).
+TIME_ATOL = 1e-9
 
 
 @pytest.fixture
@@ -126,3 +129,19 @@ def traced_peak(func, *args):
     finally:
         tracemalloc.stop()
     return result, peak
+
+
+def compare_trajectories(a, b, label: str) -> float:
+    """Max absolute deviation of one observable between two trajectories.
+
+    The runs must share the sample grid (same times within TIME_ATOL).
+    """
+    if len(a.times) != len(b.times):
+        raise ValueError(
+            f"sample grids differ in length: {len(a.times)} vs {len(b.times)}"
+        )
+    if np.max(np.abs(a.times - b.times)) > TIME_ATOL:
+        raise ValueError("sample grids differ beyond tolerance")
+    if label not in a.records or label not in b.records:
+        raise KeyError(f"observable {label!r} missing from one trajectory")
+    return float(np.max(np.abs(a.records[label] - b.records[label])))

@@ -28,10 +28,9 @@ from zenocav import (
     resolve_config,
     steady_state,
 )
-from zenocav.dynamics import compare_trajectories
 from zenocav.steady import nullspace_dimension
 
-from conftest import TRANSFER_MIXTURE
+from conftest import TRANSFER_MIXTURE, compare_trajectories
 
 # Iso-cooperativity optima the weak-drive model must reproduce: best steady
 # singlet population along each curve, to within half a percentage point.
@@ -53,6 +52,10 @@ CLAIMED_FIDELITIES = {
     ("high_finesse", "S"): 0.9918,
     ("high_finesse", "t2"): 0.9919,
 }
+
+# Eigenvalues this small are rounding on a density matrix of trace 1;
+# criterion 8 prints a smallest eigenvalue below it as this bound.
+ROUNDING_EIGENVALUE = 1e-14
 
 # Bundled config holding each platform's rates.
 PLATFORM_PRESETS = {
@@ -320,10 +323,16 @@ def test_criterion_8_physical_invariants(
         and residual < 1e-9
         and truncation_shift < 1e-4
     )
+    # Some evolved states are rank-deficient, so the smallest eigenvalue can
+    # be rounding, and is then printed as a bound that rounding cannot move.
+    if abs(min_eigenvalue) < ROUNDING_EIGENVALUE:
+        eigenvalue = f"below {ROUNDING_EIGENVALUE:.0e} in magnitude"
+    else:
+        eigenvalue = f"{min_eigenvalue:.1e}"
     report(
         8,
         ok,
         f"trace drift {trace_drift:.1e}, hermiticity defect {hermiticity:.1e}, "
-        f"min eigenvalue {min_eigenvalue:.1e}, steady residual {residual:.1e}, "
+        f"min eigenvalue {eigenvalue}, steady residual {residual:.1e}, "
         f"truncation shift {truncation_shift:.1e}",
     )

@@ -16,7 +16,7 @@ from zenocav import (
     resolve_config,
 )
 import zenocav.dynamics as dynamics
-from zenocav.dynamics import Trajectory, compare_trajectories, rk4_propagator
+from zenocav.dynamics import Trajectory, rk4_propagator
 from zenocav.models import ModelParams, Variant, build_model
 from zenocav.operators import parity_frame, vectorize
 
@@ -92,7 +92,7 @@ def test_propagator_holds_one_product():
 )
 def test_evolve_memory_peak(preset, t_end, stride, bound):
     # In complex generator sizes: each power runs on the real generator, half
-    # that size, as the matrix it raises and matrix_power's three operands.
+    # that size, as the matrix it raises and the squaring's three operands.
     # The remainder step and the steps after the last whole stride are
     # applied to the initial state before the stride power is built, so they
     # add no propagator to that peak.  fig1c evolves in two parity blocks of
@@ -109,6 +109,57 @@ def test_evolve_memory_peak(preset, t_end, stride, bound):
     )
     assert traj.final_report.passed
     assert peak <= bound * params.dim**4 * 16
+
+
+@pytest.mark.parametrize(
+    "preset, t_end, stride, calls",
+    [
+        # Per block: 3 Horner products, 8 squarings and 5 products for the
+        # stride power P^500, 4 squarings for P^16, 15 baby-step rows, the
+        # grid, and for the 2 giant steps and the 8 strides after them one
+        # state product (gemv) and one product of the empty ends (gemm)
+        # each, then the ends' readings; fig1c has two blocks.
+        pytest.param("fig1c", 40.0, 500, {"gemm": 94, "gemv": 20}, id="fig1c"),
+        # One block: the remainder step (3 products, 1 gemv), the step, the
+        # rest power P^400 (10) and its product with the ends, the stride
+        # power P^700 (14), P^16 (4), 1 giant step and 12 strides after it,
+        # 15 rows, the grid and the ends' readings.
+        pytest.param("fig4c", 40.001, 700, {"gemm": 65, "gemv": 14}, id="fig4c-rest-remainder"),
+    ],
+)
+def test_evolve_products_run_on_scipy_blas(monkeypatch, preset, t_end, stride, calls):
+    # Every dense product goes through the BLAS routines scipy's own LAPACK
+    # calls use, each operand Fortran-ordered and of the routine's type, so
+    # that f2py copies none; numpy's matrix_power is not called.
+    config = resolve_config(preset)
+    params = config.params
+    me = build_model(params)
+    rho0 = initial_density_matrix(config.run.initial_state, params)
+    real = dynamics.get_blas_funcs
+    seen = {}
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("np.linalg.matrix_power called")
+
+    def counting(name, arrays):
+        routine = real(name, arrays)
+
+        def call(*args, **kwargs):
+            for arg in args:
+                if isinstance(arg, np.ndarray):
+                    assert arg.flags.f_contiguous and arg.dtype.char == routine.typecode
+            seen[name] = seen.get(name, 0) + 1
+            return routine(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(np.linalg, "matrix_power", poisoned)
+    monkeypatch.setattr(dynamics, "get_blas_funcs", counting)
+    traj = evolve(
+        me, rho0, t_end, config.run.dt, [("P_S", named_state("S", params).projector)], stride
+    )
+    assert traj.final_report.passed
+    assert seen == calls
 
 
 @pytest.mark.parametrize(
@@ -326,7 +377,8 @@ def test_non_finite_generator_is_named():
     decay = np.array([[0.0, 1.0], [0.0, 0.0]])
     me = toy_model(np.diag([1e308, -1e308]), [decay])
     with pytest.raises(IntegrationError, match="generator entries are not finite"):
-        evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
 
 
 @st.composite
@@ -388,33 +440,7 @@ def test_singlet_pumping_reaches_target():
     assert traj.final_report.passed
 
 
-# -- trajectory utilities ----------------------------------------------------------
-
-
-def test_compare_identical_runs(rng):
-    me = damping_model(0.5)
-    rho0 = random_density_matrix(rng, 2)
-    a = evolve(me, rho0, 1.0, 0.01, [("P1", P1)], sample_stride=10)
-    b = evolve(me, rho0, 1.0, 0.01, [("P1", P1)], sample_stride=10)
-    assert compare_trajectories(a, b, "P1") == 0.0
-
-
-def test_compare_matching_grids_from_different_steps():
-    me = damping_model(0.5)
-    a = evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)], sample_stride=10)
-    b = evolve(me, P1.astype(complex), 1.0, 0.005, [("P1", P1)], sample_stride=20)
-    dev = compare_trajectories(a, b, "P1")
-    assert dev < 1e-9
-
-
-def test_compare_rejects_mismatched_grids():
-    me = damping_model(0.5)
-    a = evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)], sample_stride=10)
-    b = evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)], sample_stride=5)
-    with pytest.raises(ValueError, match="length"):
-        compare_trajectories(a, b, "P1")
-    with pytest.raises(KeyError, match="P0"):
-        compare_trajectories(a, a, "P0")
+# -- trajectories ----------------------------------------------------------------
 
 
 def test_csv_round_trip(tmp_path, rng):

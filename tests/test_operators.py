@@ -421,6 +421,19 @@ def test_parity_blocks_reject_non_involutions(perm, sign):
         parity_blocks(perm, sign)
 
 
+@given(symmetric_open_systems(), st.integers(0, 2**32 - 1))
+def test_frames_rotate_back(me, seed):
+    # The one-block frame is the model's own basis: it carries no basis
+    # matrix, and both of its rotations hand back what they are given.  A
+    # parity frame's back rotation undoes its rotation.
+    op = random_density_matrix(np.random.default_rng(seed), me.dim)
+    whole = parity_frame(me.hamiltonian, me.collapse_ops, None)
+    assert whole.basis is None
+    assert whole.rotate(op) is op and whole.rotate_back(op) is op
+    frame = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    assert np.max(np.abs(frame.rotate_back(frame.rotate(op)) - op)) <= 1e-15
+
+
 # -- validate_density_matrix -----------------------------------------------------
 
 

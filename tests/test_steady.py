@@ -194,7 +194,8 @@ def test_overflowing_generator_raises_numerics_error(monkeypatch):
     calls = []
     counting(monkeypatch, steady_mod, "lu_factor", calls)
     with pytest.raises(SteadyStateNumericsError, match="overflow double precision"):
-        steady_state(toy_model(np.diag([1e308, -1e308]), [decay]))
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            steady_state(toy_model(np.diag([1e308, -1e308]), [decay]))
     assert calls == []
 
 
