@@ -26,8 +26,9 @@ from .models import STATE_LABELS, ModelParams, Variant, named_state
 MODEL_KEYS = ("omega", "omega_mw", "delta", "gamma", "kappa", "phi", "n_max", "variant")
 RUN_KEYS = ("t_end", "dt", "sample_stride", "initial_state")
 
-# Default integration steps: the full models carry the stiff atom-cavity
-# coupling (rate 1 in g units), the reduced models only weak rates.
+# Default sample-grid units (evolve's propagators are exact, so these set
+# only where samples fall): with the default stride, a full-model sample
+# every 0.2/g and a reduced-model one every 1/g.
 DEFAULT_DT_FULL = 0.002
 DEFAULT_DT_EFFECTIVE = 0.01
 DEFAULT_SAMPLE_STRIDE = 100

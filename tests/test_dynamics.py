@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+import scipy.sparse
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
@@ -18,7 +20,7 @@ from zenocav import (
 import zenocav.dynamics as dynamics
 from zenocav.dynamics import Trajectory, rk4_propagator
 from zenocav.models import ModelParams, Variant, build_model
-from zenocav.operators import parity_frame, vectorize
+from zenocav.operators import hermitian_blocks, parity_frame, vectorize
 
 from conftest import (
     damping_model,
@@ -114,17 +116,18 @@ def test_evolve_memory_peak(preset, t_end, stride, bound):
 @pytest.mark.parametrize(
     "preset, t_end, stride, calls",
     [
-        # Per block: 3 Horner products, 8 squarings and 5 products for the
-        # stride power P^500, 4 squarings for P^16, 15 baby-step rows, the
-        # grid, and for the 2 giant steps and the 8 strides after them one
-        # state product (gemv) and one product of the empty ends (gemm)
-        # each, then the ends' readings; fig1c has two blocks.
-        pytest.param("fig1c", 40.0, 500, {"gemm": 94, "gemv": 20}, id="fig1c"),
-        # One block: the remainder step (3 products, 1 gemv), the step, the
-        # rest power P^400 (10) and its product with the ends, the stride
-        # power P^700 (14), P^16 (4), 1 giant step and 12 strides after it,
-        # 15 rows, the grid and the ends' readings.
-        pytest.param("fig4c", 40.001, 700, {"gemm": 65, "gemv": 14}, id="fig4c-rest-remainder"),
+        # Per block: the 3 squarings of the stride propagator exp(M) (its
+        # Taylor products are sparse), 4 squarings for P^16, 15 baby-step
+        # rows, the grid, and for the 2 giant steps and the 8 strides after
+        # them one state product (gemv) and one product of the empty ends
+        # (gemm) each, then the ends' readings; fig1c has two blocks.
+        pytest.param("fig1c", 40.0, 500, {"gemm": 68, "gemv": 20}, id="fig1c"),
+        # One block: the remainder propagator exp(0.001 M) (no squaring, 1
+        # gemv), the rest propagator exp(0.8 M) (3 squarings) and its product
+        # with the ends, the stride propagator exp(1.4 M) (4 squarings), P^16
+        # (4), 1 giant step and 12 strides after it, 15 rows, the grid and
+        # the ends' readings.
+        pytest.param("fig4c", 40.001, 700, {"gemm": 42, "gemv": 14}, id="fig4c-rest-remainder"),
     ],
 )
 def test_evolve_products_run_on_scipy_blas(monkeypatch, preset, t_end, stride, calls):
@@ -176,27 +179,93 @@ def test_evolve_propagates_each_parity_block(monkeypatch, preset, phi, sizes):
     rho0 = initial_density_matrix(config.run.initial_state, params)
     shapes = []
 
-    def recording(generator, dt):
-        shapes.append(generator.shape)
-        return rk4_propagator(generator, dt)
+    real = dynamics._exponential
 
-    monkeypatch.setattr(dynamics, "rk4_propagator", recording)
+    def recording(generator, tau):
+        shapes.append(generator.shape)
+        return real(generator, tau)
+
+    monkeypatch.setattr(dynamics, "_exponential", recording)
     evolve(me, rho0, 1.0, 0.002, [("P_S", named_state("S", params).projector)], 50)
     assert shapes == [(n, n) for n in sizes]
 
 
-def test_step_error_is_fourth_order():
+def test_block_that_starts_at_zero_is_skipped(monkeypatch):
+    # fig2a starts in g00, so its odd block's coordinates are exactly zero:
+    # only the 369 even block is propagated, and the result is that of the
+    # whole generator.
+    config = resolve_config("fig2a")
+    run, params = config.run, config.params
+    me = build_model(params)
+    rho0 = initial_density_matrix(run.initial_state, params)
+    observables = [(label, named_state(label, params).projector) for label in ("g00", "T", "S")]
+    real = dynamics._exponential
+    shapes = []
+
+    def recording(generator, tau):
+        shapes.append(generator.shape)
+        return real(generator, tau)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_exponential", recording)
+        blocks = evolve(me, rho0, run.t_end, run.dt, observables, run.sample_stride)
+    assert shapes == [(369, 369)]
+    whole = evolve(replace(me, symmetry=None), rho0, run.t_end, run.dt, observables, run.sample_stride)
+    for label, _ in observables:
+        assert np.max(np.abs(blocks.records[label] - whole.records[label])) <= 1e-10
+    assert np.max(np.abs(blocks.final_state - whole.final_state)) <= 1e-10
+
+
+def test_damping_error_is_at_rounding_level():
+    # The propagator is exact up to rounding, so no error depends on dt; it
+    # measured 0.0 at both.
     gamma, t_end = 1.0, 2.0
     me = damping_model(gamma)
     rho0 = P1.astype(complex)
     exact = math.exp(-gamma * t_end)
-
-    def final_error(dt):
+    for dt in (0.2, 0.1):
         traj = evolve(me, rho0, t_end, dt, [("P1", P1)], sample_stride=10 ** 9)
-        return abs(traj.value("P1") - exact)
+        assert abs(traj.value("P1") - exact) <= 1e-15
 
-    ratio = final_error(0.2) / final_error(0.1)
-    assert 10.0 < ratio < 24.0
+
+def _block_generators(preset):
+    me = build_model(resolve_config(preset).params)
+    frame = me.frame
+    operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
+    return [block.copy() for block in hermitian_blocks(liouvillian(*operators), frame.plan)]
+
+
+@pytest.mark.parametrize("tau", [0.001, 1.0, 16.0])
+@pytest.mark.parametrize("preset", ["fig1c", "fig4c", "zero"])
+def test_exponential_matches_expm(preset, tau):
+    # fig1c's even block (369) and fig4c's one block (729), where the tau
+    # take no squaring, 3 and 7; a zero generator takes none at any tau.
+    block = np.zeros((5, 5)) if preset == "zero" else _block_generators(preset)[0]
+    exact = scipy.linalg.expm(tau * block)
+    result = dynamics._exponential(scipy.sparse.csr_array(block), tau)
+    assert result.flags.c_contiguous
+    assert np.max(np.abs(result - exact)) <= 1e-12
+
+
+@pytest.mark.parametrize("preset", ["fig1c", "fig4c"])
+def test_evolve_matches_dense_expm(preset):
+    # The reference raises a dense expm of the whole complex generator over
+    # one sample interval on the column-stacked state.
+    config = resolve_config(preset)
+    run, params = config.run, config.params
+    me = build_model(params)
+    rho0 = initial_density_matrix(run.initial_state, params)
+    observables = [(label, named_state(label, params).projector) for label in ("g00", "g11", "T", "S")]
+    traj = evolve(me, rho0, 200.0, run.dt, observables, run.sample_stride)
+    step = scipy.linalg.expm(run.sample_stride * run.dt * liouvillian(me.hamiltonian, me.collapse_ops))
+    rows = np.array([vectorize(op.conj()) for _, op in observables])
+    vec = vectorize(rho0)
+    expected = [rows @ vec]
+    for _ in range(len(traj.times) - 1):
+        vec = step @ vec
+        expected.append(rows @ vec)
+    records = np.array([traj.records[label] for label, _ in observables]).T
+    assert np.max(np.abs(records - np.real(expected))) <= 1e-12
 
 
 # -- evolve ---------------------------------------------------------------------
@@ -270,10 +339,13 @@ def test_records_match_trace_at_ends(rng):
         )
 
 
-def test_unstable_step_size_detected():
-    me = damping_model(1.0)
-    with pytest.raises(IntegrationError, match="out of range"):
-        evolve(me, P1.astype(complex), 30.0, 10.0, [("P1", P1)])
+def test_large_dt_is_exact():
+    # dt only spaces the samples: at dt = 10 the records are exp(-t), where a
+    # fixed-step integrator would leave [0, 1].  The population guard is
+    # covered by test_population_guard_fires_on_negative_rate_dissipator.
+    traj = evolve(damping_model(1.0), P1.astype(complex), 30.0, 10.0, [("P1", P1)])
+    assert traj.records["P1"] == pytest.approx(np.exp(-traj.times), rel=1e-13)
+    assert traj.final_report.passed
 
 
 def test_rejects_non_state_input():
@@ -322,14 +394,12 @@ def test_evolve_matches_naive_stepper(system):
     t_end = (steps + fraction) * dt
     traj = evolve(me, rho0, t_end, dt, [("I", np.eye(me.dim)), ("O", obs)], stride)
     liouv = liouvillian(me.hamiltonian, me.collapse_ops)
-    marks = [*range(0, steps, stride), steps]
-    vec = vectorize(rho0)
-    expected = []
-    for advance in np.diff([0, *marks]):
-        vec = naive_rk4(liouv, vec, dt, advance)
-        expected.append(np.trace(obs @ vec.reshape(rho0.shape, order="F")).real)
+    times = [*(dt * m for m in range(0, steps, stride)), steps * dt]
     if fraction:
-        vec = naive_rk4(liouv, vec, t_end - steps * dt, 1)
+        times.append(t_end)
+    expected = []
+    for t in times:
+        vec = scipy.linalg.expm(t * liouv) @ vectorize(rho0)
         expected.append(np.trace(obs @ vec.reshape(rho0.shape, order="F")).real)
     assert len(traj.times) == len(expected)
     assert np.max(np.abs(traj.records["O"] - expected)) <= 1e-10
@@ -358,21 +428,21 @@ def test_trace_guard_fires_on_nan():
     # A NaN in the propagator of a finite generator, as from a power that
     # overflowed, gives NaN readings; no projector is recorded, so the trace
     # guard alone must catch them.
-    real = dynamics.rk4_propagator
+    real = dynamics._exponential
 
-    def poisoned(liouv, dt):
-        prop = real(liouv, dt)
+    def poisoned(generator, tau):
+        prop = real(generator, tau)
         prop[0, 0] = np.nan
         return prop
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "rk4_propagator", poisoned)
+        mp.setattr(dynamics, "_exponential", poisoned)
         with pytest.raises(IntegrationError, match=r"trace drifted by nan at t=\d"):
             evolve(damping_model(0.5), P1.astype(complex), 1.0, 0.01, [("X", SIGMA_X)])
 
 
 def test_non_finite_generator_is_named():
-    # Finite operators whose generator overflows: no step size can mend
+    # Finite operators whose generator overflows: no choice of dt can mend
     # that, so the error names the generator, before any propagator.
     decay = np.array([[0.0, 1.0], [0.0, 0.0]])
     me = toy_model(np.diag([1e308, -1e308]), [decay])
