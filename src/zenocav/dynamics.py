@@ -320,10 +320,10 @@ def evolve(
     # Each block's coordinates advance in place; the blocks never mix, so a
     # block that starts at exactly zero stays there and reads zero.
     x = to_hermitian(frame.rotate(rho0))
-    read = [(idx, csr_array(block)) for idx, block in zip(frame.blocks, blocks) if x[idx].any()]
+    generators = [(idx, csr_array(b)) for idx, b in zip(frame.blocks, blocks) if x[idx].any()]
     del blocks
     readings = 0.0
-    for idx, generator in read:
+    for idx, generator in generators:
         block_readings, x[idx] = _advance(
             generator, idx, readout, x[idx], dt, stride, count, rest, remainder
         )

@@ -206,9 +206,8 @@ def test_block_that_starts_at_zero_is_skipped(monkeypatch):
         shapes.append(generator.shape)
         return real(generator, tau)
 
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_exponential", recording)
-        blocks = evolve(me, rho0, run.t_end, run.dt, observables, run.sample_stride)
+    monkeypatch.setattr(dynamics, "_exponential", recording)
+    blocks = evolve(me, rho0, run.t_end, run.dt, observables, run.sample_stride)
     assert shapes == [(369, 369)]
     whole = evolve(replace(me, symmetry=None), rho0, run.t_end, run.dt, observables, run.sample_stride)
     for label, _ in observables:
