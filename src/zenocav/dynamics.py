@@ -11,23 +11,25 @@ about 1% nonzero at the bundled presets and is held sparse, so the Taylor
 polynomial costs sparse products, and only the squarings that undo its
 scaling are dense.  The propagators are exponentials of one generator, so
 they commute: the units of dt after the last whole stride, and a final
-partial interval, are applied to the initial state first.  A model whose operators
-respect its symmetry evolves in the symmetry's parity basis, where M splits
-into an even and an odd block that never mix; each is built straight from
-the complex generator and propagated on its own, and the readings of the
-blocks add.  A block whose initial coordinates are all zero stays zero and
-reads zero, so it is not propagated at all.  The readings ``R P^k x`` at
-the samples come by baby steps and giant steps: the rows ``R P^j`` for j
-below BABY_STEPS and the states ``P^(BABY_STEPS i) x``, so that one product
-of the two stacks reads every sample and only one state product in
-BABY_STEPS is paid.  The exponential keeps the trace up to rounding, so a
-trace that is no longer 1 means a state that overflowed or is not a number,
-and a population that leaves [0, 1] a generator that is not physical.  Every
-dense product with the propagators or the states is a BLAS call through
-scipy (see _matmul), as every threaded BLAS and LAPACK call in the package
-is: a pip-installed numpy and scipy each load their own OpenBLAS, whose
-worker threads spin for a while after each parallel call, so products on
-numpy's between two steady-state LUs on scipy's would leave one runtime's
+partial interval, are applied to the initial state first, as the Taylor
+action of the exponential on those few columns (see _exponential_action),
+with no dense propagator.  A model whose operators respect its symmetry
+evolves in the symmetry's parity basis, where M splits into an even and an
+odd block that never mix; each is built straight from the complex generator
+and propagated on its own, and the readings of the blocks add.  A block
+whose initial coordinates are all zero stays zero and reads zero, so it is
+not propagated at all.  The readings ``R P^k x`` at the samples come by baby
+steps and giant steps: the rows ``R P^j`` for j below BABY_STEPS and the
+states ``P^(BABY_STEPS i) x``, so that one product of the two stacks reads
+every sample and only one state product in BABY_STEPS is paid.  The
+exponential keeps the trace up to rounding, so a trace that is no longer 1
+means a state that overflowed or is not a number, and a population that
+leaves [0, 1] a generator that is not physical.  Every dense product with
+the propagators or the states is a BLAS call through scipy (see
+operators.blas_matmul), as every threaded BLAS and LAPACK call in the
+package is: a pip-installed numpy and scipy each load their own OpenBLAS,
+whose worker threads spin for a while after each parallel call, so products
+on numpy's between two steady-state LUs on scipy's would leave one runtime's
 threads on the cores the other needs.  The sparse products run in scipy's
 own compiled loops, on no BLAS.
 """
@@ -38,7 +40,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import get_blas_funcs
 from scipy.sparse import csr_array
 
 from .models import MasterEquationSpec
@@ -46,6 +47,7 @@ from .operators import (
     ALGEBRAIC_TOL,
     INTEGRATION_TOL,
     DensityMatrixReport,
+    blas_matmul,
     from_hermitian,
     hermitian_blocks,
     hermiticity_defect,
@@ -59,10 +61,10 @@ POPULATION_SLACK = 1e-6
 # The propagator keeps the trace exactly in exact arithmetic, so drift above
 # this means rounding on a state that has grown far out of range.
 TRACE_ABORT = 1e-4
-# Degree of the Taylor polynomial in _exponential, and the largest 1-norm of
-# its argument at which the truncation error stays below the unit roundoff:
-# theta_18 of Al-Mohy & Higham, SIAM J. Sci. Comput. 33, 488 (2011), the
-# value scipy's expm_multiply uses.
+# Degree of the Taylor polynomial in _exponential and _exponential_action,
+# and the largest 1-norm of its argument at which the truncation error stays
+# below the unit roundoff: theta_18 of Al-Mohy & Higham, SIAM J. Sci. Comput.
+# 33, 488 (2011), the value scipy's expm_multiply uses.
 TAYLOR_DEGREE = 18
 TAYLOR_THETA = 1.09
 # Samples per baby-step group of the readout (see _advance).  A group pays
@@ -109,26 +111,14 @@ class Trajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def _matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b on scipy's BLAS, for a C-ordered matrix a and a C-ordered b.
-
-    The BLAS reads Fortran-ordered matrices, and the transpose of a
-    C-ordered array is one, so no operand is copied: a vector b is gemv's
-    ``(a^T)^T b``, and a matrix b gives gemm's ``(b^T a^T)^T``, C-ordered.
-    """
-    if b.ndim == 1:
-        return get_blas_funcs("gemv", (a, b))(1.0, a.T, b, trans=1)
-    return get_blas_funcs("gemm", (a, b))(1.0, b.T, a.T).T
-
-
 def _power(a: np.ndarray, n: int) -> np.ndarray:
-    """a**n for n >= 1, squaring as np.linalg.matrix_power does, on _matmul."""
+    """a**n for n >= 1, squaring as np.linalg.matrix_power does, on blas_matmul."""
     z = result = None
     while n:
-        z = a if z is None else _matmul(z, z)
+        z = a if z is None else blas_matmul(z, z)
         n, bit = divmod(n, 2)
         if bit:
-            result = z if result is None else _matmul(result, z)
+            result = z if result is None else blas_matmul(result, z)
     return result
 
 
@@ -141,10 +131,10 @@ def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     t = a / 4.0
     for k in (3.0, 2.0):
         t.flat[diag] += 1.0
-        t = _matmul(a, t)
+        t = blas_matmul(a, t)
         t /= k
     t.flat[diag] += 1.0
-    t = _matmul(a, t)
+    t = blas_matmul(a, t)
     t.flat[diag] += 1.0
     return t
 
@@ -155,8 +145,8 @@ def _exponential(generator: csr_array, tau: float) -> np.ndarray:
     tau M is halved s times, until its 1-norm is below TAYLOR_THETA; the
     Taylor polynomial of that matrix A, in Horner form
     I + A(I + A/2 (... (I + A/18))), costs sparse-by-dense products only,
-    and s squarings on _matmul undo the halving (Moler & Van Loan, SIAM Rev.
-    45, 3 (2003)).  frexp gives s = 0 for a zero generator.
+    and s squarings on blas_matmul undo the halving (Moler & Van Loan, SIAM
+    Rev. 45, 3 (2003)).  frexp gives s = 0 for a zero generator.
     """
     norm = tau * abs(generator).sum(axis=0).max()
     s = max(0, math.frexp(norm / TAYLOR_THETA)[1])
@@ -170,8 +160,29 @@ def _exponential(generator: csr_array, tau: float) -> np.ndarray:
         t /= k
     t.flat[diag] += 1.0
     for _ in range(s):
-        t = _matmul(t, t)
+        t = blas_matmul(t, t)
     return t
+
+
+def _exponential_action(generator: csr_array, tau: float, x: np.ndarray) -> np.ndarray:
+    """exp(tau M) x for a sparse real generator M and a few dense columns x.
+
+    tau is cut into s equal steps, the fewest whose tau M / s has 1-norm at
+    most TAYLOR_THETA, and each step applies the degree-TAYLOR_DEGREE Taylor
+    polynomial term by term, so that only sparse products with the columns
+    are paid and no n^2 propagator is built (Al-Mohy & Higham, SIAM J. Sci.
+    Comput. 33, 488 (2011), with the degree fixed).
+    """
+    norm = tau * abs(generator).sum(axis=0).max()
+    steps = max(1, math.ceil(norm / TAYLOR_THETA))
+    a = generator * (tau / steps)
+    for _ in range(steps):
+        term = x
+        for k in range(1, TAYLOR_DEGREE + 1):
+            term = a @ term
+            term /= k
+            x = x + term
+    return x
 
 
 def _advance(generator, idx, readout, x0, dt, stride, count, rest, remainder):
@@ -183,38 +194,38 @@ def _advance(generator, idx, readout, x0, dt, stride, count, rest, remainder):
     product of the stacked rows and states reads them all.  The propagators
     are exponentials of the one generator and commute, so those of the last
     ``rest`` units of dt and of the ``remainder`` interval act on x0 first,
-    in the columns of ``ends``, which then advance along with the states;
-    each is gone before the next is built.
+    as Taylor actions on the columns of ``ends``, which then advance along
+    with the states.
     """
     ends = [x0] if rest else []
     if remainder:
-        ends.append(_matmul(_exponential(generator, remainder), x0))
+        ends.append(_exponential_action(generator, remainder, x0))
     ends = np.stack(ends, axis=1) if ends else np.empty((x0.size, 0))
     if rest:
-        ends = _matmul(_exponential(generator, rest * dt), ends)
+        ends = _exponential_action(generator, rest * dt, ends)
     if count:
         power = _exponential(generator, stride * dt)
     states = [x0]
     if count >= BABY_STEPS:
         giant = _power(power, BABY_STEPS)
         for _ in range(count // BABY_STEPS):
-            states.append(_matmul(giant, states[-1]))
-            ends = _matmul(giant, ends)
+            states.append(blas_matmul(giant, states[-1]))
+            ends = blas_matmul(giant, ends)
     # Gathered after the powers, whose products set the memory peak; take
     # keeps C order, where readout[:, idx] comes out Fortran-ordered.
     readout = readout.take(idx, axis=1)
     m = min(BABY_STEPS, count + 1)
     rows = [readout]
     for _ in range(m - 1):
-        rows.append(_matmul(rows[-1], power))
-    grid = _matmul(np.concatenate(rows), np.column_stack(states))
+        rows.append(blas_matmul(rows[-1], power))
+    grid = blas_matmul(np.concatenate(rows), np.column_stack(states))
     n_rows = readout.shape[0]
     readings = grid.reshape(m, n_rows, -1).transpose(2, 0, 1).reshape(-1, n_rows)[: count + 1]
     x = states[-1]
     for _ in range(count % BABY_STEPS):
-        x = _matmul(power, x)
-        ends = _matmul(power, ends)
-    return np.vstack([readings, _matmul(readout, ends).T]), ends[:, -1] if ends.size else x
+        x = blas_matmul(power, x)
+        ends = blas_matmul(power, ends)
+    return np.vstack([readings, blas_matmul(readout, ends).T]), ends[:, -1] if ends.size else x
 
 
 def evolve(
@@ -253,7 +264,8 @@ def evolve(
     one stride is a scaled Taylor exponential of its sparse generator (see
     _exponential), and the samples one stride apart are read by baby steps
     and giant steps (see _advance); the units after the last whole stride
-    and the final partial interval are applied to the initial state first.
+    and the final partial interval are applied to the initial state first,
+    by the Taylor action of their exponentials (see _exponential_action).
     A block whose initial coordinates are all zero is skipped.  Raises
     IntegrationError on a generator entry that is not finite, and, naming
     the first offending sample time, when a population leaves [0, 1] or the

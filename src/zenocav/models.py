@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .operators import Frame, hermiticity_defect, parity_frame, tensor_product
+from .operators import Frame, blas_matmul, hermiticity_defect, parity_frame, tensor_product
 
 # Constructed Hamiltonians are algebraically Hermitian; anything worse than
 # rounding noise means a builder bug.
@@ -277,10 +277,10 @@ def full_hamiltonian_split(p: ModelParams):
     a = cavity_mode(n_max)
     h_strong = np.zeros_like(a)
     for atom in (0, 1):
-        coupling = p.g * atom_transition(2, 1, atom, n_max) @ a
+        coupling = p.g * blas_matmul(atom_transition(2, 1, atom, n_max), a)
         h_strong += coupling + coupling.conj().T
 
-    number_cav = a.conj().T @ a
+    number_cav = blas_matmul(np.ascontiguousarray(a.conj().T), a)
     h_weak = -p.delta * number_cav
     for atom in (0, 1):
         h_weak += p.delta * atom_transition(1, 1, atom, n_max)

@@ -3,7 +3,9 @@
 Everything in this package works on plain complex numpy arrays.  A square
 array of shape ``(dim, dim)`` is an operator on a ``dim``-dimensional Hilbert
 space; a ``(dim**2, dim**2)`` array is a superoperator acting on
-column-stacked density matrices.
+column-stacked density matrices.  The one exception is the generator of a
+large model, which sparse_hermitian_blocks assembles as scipy.sparse arrays
+in real Hermitian coordinates (below) without any dense array of its size.
 
 Vectorization is column stacking throughout::
 
@@ -28,6 +30,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import get_blas_funcs
+from scipy.sparse import csr_array, kron, vstack
 
 # Shared tolerances.  Algebraic identities (projector algebra, hermiticity of
 # constructed operators) must hold to ALGEBRAIC_TOL; physical state properties
@@ -122,6 +126,23 @@ def liouvillian(h, collapse_ops=()) -> np.ndarray:
         target = ((rows[:, None] * n + rows) * n + cols[:, None]) * n + cols
         flat[target.ravel()] += (vals.conj()[:, None] * vals).ravel()
     return sop
+
+
+def blas_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b on scipy's BLAS, for a C-ordered matrix a and a C-ordered b.
+
+    The BLAS reads Fortran-ordered matrices, and the transpose of a
+    C-ordered array is one, so no operand is copied: a vector b is gemv's
+    ``(a^T)^T b``, and a matrix b gives gemm's ``(b^T a^T)^T``, C-ordered.
+    Every product that may thread goes through here: a pip-installed numpy
+    and scipy each load their own OpenBLAS, whose worker threads spin for a
+    while after each parallel call, so a threaded numpy product next to
+    scipy's LUs would leave one runtime's threads on the cores the other
+    needs.
+    """
+    if b.ndim == 1:
+        return get_blas_funcs("gemv", (a, b))(1.0, a.T, b, trans=1)
+    return get_blas_funcs("gemm", (a, b))(1.0, b.T, a.T).T
 
 
 def vectorize(rho) -> np.ndarray:
@@ -256,6 +277,48 @@ def hermitian_blocks(liouv: np.ndarray, plan: BlockPlan) -> list:
     return parts
 
 
+def sparse_hermitian_blocks(h, collapse_ops, blocks) -> list:
+    """hermitian_blocks' blocks of the generator of h and collapse_ops, assembled sparse.
+
+    Each block is a scipy.sparse CSR array of M = U^dag L U over its
+    coordinates, blocks being ascending coordinate arrays as in block_plan.
+    L is liouvillian's Kronecker sum, built sparse, and only its equations
+    for rho_ij, i <= j, are kept; the coordinate map U, at most two nonzeros
+    per column, takes them into real Hermitian coordinates, whose rows are
+    the diagonal equations' real parts and sqrt2 Re and sqrt2 Im of the
+    pairs'.  No dense array of the generator's size is built, and every
+    product is sparse.
+    """
+    dim = h.shape[0]
+    ops = [csr_array(c) for c in collapse_ops]
+    decay = sum((c.conj().T @ c for c in ops), csr_array((dim, dim), dtype=complex))
+    h_nh = csr_array(h) - 0.5j * decay
+    eye = csr_array(np.eye(dim))
+    liouv = kron(eye, -1j * h_nh, format="csr") + kron(1j * h_nh.conj(), eye, format="csr")
+    for c in ops:
+        liouv += kron(c.conj(), c, format="csr")
+    # Column c of U is the column-stacked Hermitian matrix with coordinates
+    # e_c: e_d for a diagonal coordinate, (e_u + e_l)/sqrt2 for a pair's Re
+    # coordinate and i (e_u - e_l)/sqrt2 for its Im one.
+    diag, upper, lower = _hermitian_coordinates(dim)
+    pairs = upper.size
+    re = np.arange(dim, dim + pairs)
+    im = re + pairs
+    half = 1.0 / _SQRT2
+    rows = np.concatenate([diag, upper, lower, upper, lower])
+    cols = np.concatenate([np.arange(dim), re, re, im, im])
+    values = np.concatenate(
+        [np.ones(dim), np.full(2 * pairs, half), np.full(pairs, 1j * half),
+         np.full(pairs, -1j * half)]
+    )
+    coordinate_map = csr_array((values, (rows, cols)), shape=(dim * dim, dim * dim))
+    eqs = liouv[np.concatenate([diag, upper])] @ coordinate_map
+    real = vstack([eqs[:dim].real, _SQRT2 * eqs[dim:].real, _SQRT2 * eqs[dim:].imag], format="csr")
+    # Entries whose real or imaginary part alone is nonzero leave explicit zeros.
+    real.eliminate_zeros()
+    return [real[idx][:, idx] for idx in blocks]
+
+
 def to_hermitian(op) -> np.ndarray:
     """Hermitian coordinates of op, read from its diagonal and upper triangle."""
     v = vectorize(op)
@@ -349,8 +412,14 @@ class Frame:
         return op if self.rotation is None else _in_parity_basis(op, self.rotation)
 
     def rotate_back(self, op) -> np.ndarray:
-        """op from the frame's basis back into the model's, ``basis^T @ op @ basis``."""
-        return op if self.rotation is None else self.basis.T @ op @ self.basis
+        """op from the frame's basis back into the model's, ``basis^T @ op @ basis``.
+
+        The products are blas_matmul's, on the basis made complex.
+        """
+        if self.rotation is None:
+            return op
+        basis = self.basis.astype(complex)
+        return blas_matmul(blas_matmul(basis.T.copy(), np.ascontiguousarray(op)), basis)
 
 
 def _parity_rotation(perm, sign):

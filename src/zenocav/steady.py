@@ -1,41 +1,58 @@
 """Stationary states of master equations and degeneracy diagnostics.
 
-The stationary state solves L vec(rho) = 0 with Tr rho = 1.  The generator
-is dense (up to 2916 square at n_max = 5), and a direct LU solve is the
-workhorse.  It factors the generator in real Hermitian coordinates
-(see :mod:`zenocav.operators`), whose LU costs about a quarter of the
-complex one, with the equation for rho_00 replaced by the trace constraint.
-A model whose operators respect its symmetry is first rotated into the
+The stationary state solves L vec(rho) = 0 with Tr rho = 1, by a direct LU
+solve of the generator in real Hermitian coordinates (see
+:mod:`zenocav.operators`), whose LU costs about a quarter of the complex
+one, with the equation for rho_00 replaced by the trace constraint.  A
+model whose operators respect its symmetry is first rotated into the
 symmetry's parity basis, where the generator splits into an even block,
 which holds every diagonal entry and so the trace constraint and the state,
 and an odd block; each is built and factored on its own, together at about
-a quarter of the cost of the whole.  That frame (the symmetry check, the
-basis and blocks, the rotated Hamiltonian and the blocks' index plan) is the
-one the model carries, MasterEquationSpec.frame: found once for every point
-of a RateFamily, and at each solve for any other model; a solve rotates only
-its own collapse operators into it.  A reciprocal-condition estimate on the
-factorizations flags degenerate generators without paying for an
-eigendecomposition at every call; the residual is always checked in
-operator form on the model's own Hamiltonian and collapse operators.
-Every threaded BLAS or LAPACK call in the package goes through scipy, on
-one OpenBLAS runtime: pip-installed numpy and scipy each load their own,
-and a threaded numpy call between two solves, or between a solve and an
-evolution, would wake numpy's worker threads, which then spin on the cores
-the next LU or product needs.  Here that is the LU, its condition estimate
-and the eigendecompositions, through scipy.linalg.
+a quarter of the cost of the whole.  The generator's size selects the
+solver.  Up to SPARSE_ABOVE coordinates (dim 27, every bundled preset) the
+blocks are dense, written over the dense complex generator, and LAPACK
+factors them; above it they are under 1% nonzero, so they are assembled
+sparse straight from the operators, with no complex generator, and SuperLU
+factors them (a dense complex generator at n_max = 10 would take 1.5 GB).
+That frame (the symmetry check, the basis and blocks, the rotated
+Hamiltonian and the blocks' index plan) is the one the model carries,
+MasterEquationSpec.frame: found once for every point of a RateFamily, and
+at each solve for any other model; a solve rotates only its own collapse
+operators into it.  A reciprocal-condition estimate on the factorizations
+flags degenerate generators without paying for an eigendecomposition at
+every call; the residual is always checked in operator form on the model's
+own Hamiltonian and collapse operators.  Every threaded BLAS or LAPACK call
+in the package goes through scipy, on one OpenBLAS runtime: pip-installed
+numpy and scipy each load their own, and a threaded numpy call between two
+solves, or between a solve and an evolution, would wake numpy's worker
+threads, which then spin on the cores the next LU or product needs.  Here
+that is the LU, its condition estimate and the eigendecompositions, through
+scipy.linalg, and the operator products of the positivity repair and the
+residual, through operators.blas_matmul; numpy starts threading complex
+products at about dim 45.
 """
 
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
 from scipy.linalg import LinAlgWarning, get_lapack_funcs, lu_factor, lu_solve
+from scipy.sparse import csc_array, csr_array, issparse
+from scipy.sparse.linalg import LinearOperator, onenormest, splu
 
 from .models import MasterEquationSpec
-from .operators import PHYSICAL_TOL, from_hermitian, hermitian_blocks, liouvillian
+from .operators import (
+    PHYSICAL_TOL,
+    blas_matmul,
+    from_hermitian,
+    hermitian_blocks,
+    liouvillian,
+    sparse_hermitian_blocks,
+)
 
 # Below this reciprocal condition number a trace-replaced block is treated
 # as singular and the generator is checked for a degenerate nullspace.
@@ -48,6 +65,14 @@ NULLSPACE_TOL_SCALE = 1e-10
 CLIP_LIMIT = PHYSICAL_TOL
 # Returned states must satisfy the stationarity equation this tightly.
 RESIDUAL_LIMIT = 1e-9
+# A generator with more Hermitian coordinates than this (dim**2) is assembled
+# sparse and factored by SuperLU; up to it (dim 27, every bundled preset at
+# its own n_max) the dense assembly and LU are the faster.  At preset1 a
+# solve took 11 ms dense against 17 ms sparse (bell_full) and 21 against 26
+# ms (klm_full) at n_max = 2, and 28 against 25 ms and 58 against 52 ms at
+# n_max = 3 (dim 36), where the real blocks are under 1% nonzero (medians
+# of 5, 2 vCPU).
+SPARSE_ABOVE = 27**2
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -72,11 +97,12 @@ class SteadyStateResult:
     nonsingular blocks (the even one trace-replaced) prove the stationary
     state unique, and the counted value on the eigenvector fallback.  rcond
     is the smallest of the blocks' 1-norm reciprocal condition estimates in
-    real Hermitian coordinates, not that of the complex generator; on two
-    OpenBLAS threads it can differ in the last bit between processes while
-    rho does not.  blocks holds the sizes of the systems built and factored:
-    ``(even, odd)`` when the model's symmetry split the generator,
-    ``(dim**2,)`` otherwise.
+    real Hermitian coordinates, not that of the complex generator: LAPACK's
+    gecon on a dense LU, and 1/(||E||_1 onenormest(E^-1)) on a sparse one,
+    E the block; on two OpenBLAS threads it can differ in the last bit
+    between processes while rho does not.  blocks holds the sizes of the
+    systems built and factored: ``(even, odd)`` when the model's symmetry
+    split the generator, ``(dim**2,)`` otherwise.
     """
 
     rho: np.ndarray
@@ -98,28 +124,67 @@ def _reciprocal_condition(lu_pair, norm1: float) -> float:
     return float(rcond)
 
 
-def _factor(system_t: np.ndarray):
-    """LU of a Fortran-ordered M^T in place, and M's reciprocal condition.
-
-    An exactly singular system gives (None, 0.0).
-    """
-    # The factorization overwrites the system, so take the norm first.  It is
-    # not finite when an entry is not, so the LU need not check (a bool copy).
-    (lange,) = get_lapack_funcs(("lange",), (system_t,))
-    norm1 = float(lange("I", system_t))
+def _finite_norm(norm1: float) -> float:
+    # The norm is not finite when an entry is not, so the LU need not check.
     if not np.isfinite(norm1):
         raise SteadyStateNumericsError(
             f"generator block has 1-norm {norm1}: the rates overflow double precision"
         )
+    return norm1
+
+
+def _factor(system_t: np.ndarray):
+    """LU of a Fortran-ordered M^T in place: a solve with M, and M's reciprocal condition.
+
+    An exactly singular system gives (None, 0.0).
+    """
+    # The factorization overwrites the system, so take the norm first.
+    (lange,) = get_lapack_funcs(("lange",), (system_t,))
+    norm1 = _finite_norm(float(lange("I", system_t)))
     try:
         with warnings.catch_warnings():
             # An exactly singular factorization is an expected outcome here;
             # it routes to the degeneracy check.
             warnings.simplefilter("ignore", LinAlgWarning)
             lu_pair = lu_factor(system_t, overwrite_a=True, check_finite=False)
-        return lu_pair, _reciprocal_condition(lu_pair, norm1)
+        # trans=1 solves with (M^T)^T = M.
+        solve = functools.partial(lu_solve, lu_pair, trans=1)
+        return solve, _reciprocal_condition(lu_pair, norm1)
     except np.linalg.LinAlgError:
         return None, 0.0
+
+
+def _sparse_factor(system: csc_array):
+    """SuperLU factors of a sparse M: a solve with M, and M's reciprocal condition estimate.
+
+    SuperLU orders the columns by COLAMD and pivots partially, its
+    defaults.  The estimate is 1/(||M||_1 ||M^-1||_1), the second norm by
+    Hager and Higham's method (onenormest) on solves with the factors and
+    their transpose; with one column it draws no random vectors, as LAPACK's
+    gecon does not.  An exactly singular system gives (None, 0.0).
+    """
+    norm1 = _finite_norm(float(abs(system).sum(axis=0).max()))
+    try:
+        lu = splu(system)
+    except RuntimeError:  # SuperLU's "Factor is exactly singular"
+        return None, 0.0
+    inverse = LinearOperator(
+        system.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"), dtype=float
+    )
+    return lu.solve, 1.0 / (norm1 * onenormest(inverse, t=1))
+
+
+def _with_trace_row(system: csr_array, dim: int) -> csr_array:
+    """system with row 0 replaced by the trace constraint over its first dim coordinates."""
+    start = system.indptr[1]
+    return csr_array(
+        (
+            np.concatenate([np.ones(dim), system.data[start:]]),
+            np.concatenate([np.arange(dim), system.indices[start:]]),
+            np.concatenate([[0], system.indptr[1:] - start + dim]),
+        ),
+        shape=system.shape,
+    )
 
 
 def _repair_positivity(rho: np.ndarray):
@@ -137,7 +202,10 @@ def _repair_positivity(rho: np.ndarray):
         )
     clipped = np.clip(eigvals, 0.0, None)
     clip_magnitude = float(np.sum(clipped - eigvals))
-    rho = (eigvecs * clipped) @ eigvecs.conj().T
+    # eigvecs is Fortran-ordered; blas_matmul takes C-ordered operands.
+    rho = blas_matmul(
+        np.ascontiguousarray(eigvecs * clipped), np.ascontiguousarray(eigvecs.conj().T)
+    )
     rho /= np.trace(rho).real
     return rho, clip_magnitude
 
@@ -145,12 +213,28 @@ def _repair_positivity(rho: np.ndarray):
 def _real_blocks(me: MasterEquationSpec):
     """The frame and the generator's real blocks in it.
 
-    Only the collapse operators are rotated here; the rest of the frame is
-    the one me carries (see MasterEquationSpec.frame).
+    Up to SPARSE_ABOVE coordinates the blocks are dense, written over the
+    complex generator (hermitian_blocks); above it they are scipy.sparse CSR
+    arrays assembled straight from the operators (sparse_hermitian_blocks),
+    and no complex generator is built.  Only the collapse operators are
+    rotated here; the rest of the frame is the one me carries (see
+    MasterEquationSpec.frame).
     """
     frame = me.frame
     operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
+    if me.dim**2 > SPARSE_ABOVE:
+        return frame, sparse_hermitian_blocks(*operators, frame.blocks)
     return frame, hermitian_blocks(liouvillian(*operators), frame.plan)
+
+
+def _dense_blocks(me: MasterEquationSpec) -> list:
+    """The real blocks as dense arrays, for the eigendecompositions.
+
+    They are built again, since the factors overwrote the dense ones; the
+    sparse ones are made dense.
+    """
+    _, parts = _real_blocks(me)
+    return [part.toarray() if issparse(part) else part for part in parts]
 
 
 def _nullspace_count(spectra, parts) -> int:
@@ -170,7 +254,7 @@ def _eigenvector_solve(me: MasterEquationSpec):
     is _nullspace_count's, against the largest real block 1-norm; the state's
     trace is the sum of the even block's first dim (diagonal) coordinates.
     """
-    _, parts = _real_blocks(me)
+    parts = _dense_blocks(me)
     spectra = [scipy.linalg.eig(part) for part in parts]
     dimension = _nullspace_count([w for w, _ in spectra], parts)
     if dimension >= 2:
@@ -186,12 +270,19 @@ def _eigenvector_solve(me: MasterEquationSpec):
 
 
 def _residual(h: np.ndarray, collapse_ops, rho: np.ndarray) -> float:
-    """max |-i[h, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)|."""
-    drho = -1j * (h @ rho - rho @ h)
+    """max |-i[h, rho] + sum_k (L_k rho L_k^dag - {L_k^dag L_k, rho}/2)|.
+
+    Every product is a blas_matmul, on C-ordered operands.
+    """
+    h, rho = np.ascontiguousarray(h), np.ascontiguousarray(rho)
+    drho = -1j * (blas_matmul(h, rho) - blas_matmul(rho, h))
     for c in collapse_ops:
-        c_dag = c.conj().T
-        decay = c_dag @ c
-        drho += c @ rho @ c_dag - 0.5 * (decay @ rho + rho @ decay)
+        c = np.ascontiguousarray(c)
+        c_dag = np.ascontiguousarray(c.conj().T)
+        decay = blas_matmul(c_dag, c)
+        drho += blas_matmul(blas_matmul(c, rho), c_dag) - 0.5 * (
+            blas_matmul(decay, rho) + blas_matmul(rho, decay)
+        )
     return float(np.max(np.abs(drho)))
 
 
@@ -202,7 +293,7 @@ def nullspace_dimension(me: MasterEquationSpec) -> int:
     zero generator (no Hamiltonian, no dissipation) fixes every state:
     returns dim**2.
     """
-    _, parts = _real_blocks(me)
+    parts = _dense_blocks(me)
     return _nullspace_count([scipy.linalg.eigvals(part) for part in parts], parts)
 
 
@@ -211,30 +302,37 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
 
     Builds the blocks of the generator in real Hermitian coordinates, in the
     parity basis when the model's symmetry holds on its operators (the frame
-    me carries, see MasterEquationSpec.frame), straight from the complex
-    generator, and LU-factors each: the even one with its
-    rho_00 equation replaced by the trace constraint, and the odd one, whose
-    nonsingularity rules out a second, odd stationary state.  The state comes
-    from the even block.  A tiny reciprocal condition number in either block
-    rebuilds the blocks and triggers one eigendecomposition of each: nullspace
-    dimension >= 2 raises DegenerateSteadyStateError; a unique but
-    ill-conditioned case falls back to the slowest eigenvector of the even
-    block.  The returned residual is the max-norm of the master equation's
-    right-hand side at the state actually returned, computed from the model's
-    own operators.
+    me carries, see MasterEquationSpec.frame), and factors each: the even
+    one with its rho_00 equation replaced by the trace constraint, and the
+    odd one, whose nonsingularity rules out a second, odd stationary state.
+    Up to SPARSE_ABOVE coordinates the blocks come dense, straight from the
+    complex generator, and LAPACK factors them in place; above it they come
+    sparse, straight from the operators, and SuperLU factors them.  The
+    state comes from the even block.  A tiny reciprocal condition number in
+    either block rebuilds the blocks and triggers one eigendecomposition of
+    each, on the blocks made dense: nullspace dimension >= 2 raises
+    DegenerateSteadyStateError; a unique but ill-conditioned case falls back
+    to the slowest eigenvector of the even block.  The returned residual is
+    the max-norm of the master equation's right-hand side at the state
+    actually returned, computed from the model's own operators.
     """
-    # The blocks are written over the complex generator and factored in
-    # place; the rare eigenvector fallback assembles the generator again.
+    # Dense blocks are written over the complex generator and factored in
+    # place; the rare eigenvector fallback assembles the blocks again.
     frame, parts = _real_blocks(me)
     blocks = frame.blocks
     factors = []
     for k, system in enumerate(parts):
+        # Row 0 of the even block, the rho_00 equation, becomes the trace
+        # constraint over the diagonal coordinates that open the block.
+        if issparse(system):
+            if k == 0:
+                system = _with_trace_row(system, me.dim)
+            factors.append(_sparse_factor(system.tocsc()))
+            continue
         # The block is C-ordered, so its transpose is the Fortran-ordered
         # array LAPACK factors in place.
         system_t = system.T
         if k == 0:
-            # Row 0 of the even block, the rho_00 equation, becomes the trace
-            # constraint over the diagonal coordinates that open the block.
             system_t[:, 0] = 0.0
             system_t[: me.dim, 0] = 1.0
         factors.append(_factor(system_t))
@@ -247,8 +345,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         dimension = 1
         rhs = np.zeros(blocks[0].size)
         rhs[0] = 1.0
-        # trans=1 solves with (M^T)^T = M.
-        even = lu_solve(factors[0][0], rhs, trans=1)
+        even = factors[0][0](rhs)
     x = np.zeros(me.dim**2)
     x[blocks[0]] = even
     rho = frame.rotate_back(from_hermitian(x))

@@ -7,6 +7,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
+import zenocav.operators as operators
 from zenocav import ModelParams, Variant
 from zenocav.models import MasterEquationSpec
 
@@ -114,6 +115,29 @@ def symmetric_open_systems(draw):
         params=None,
         symmetry=(perm, sign),
     )
+
+
+def count_blas_calls(monkeypatch, seen: dict) -> None:
+    """Count, in seen, every BLAS routine called through operators.blas_matmul.
+
+    Each call's array operands must be Fortran-ordered and of the routine's
+    type, so that f2py copies none.
+    """
+    real = operators.get_blas_funcs
+
+    def counting(name, arrays):
+        routine = real(name, arrays)
+
+        def call(*args, **kwargs):
+            for arg in args:
+                if isinstance(arg, np.ndarray):
+                    assert arg.flags.f_contiguous and arg.dtype == routine.dtype
+            seen[name] = seen.get(name, 0) + 1
+            return routine(*args, **kwargs)
+
+        return call
+
+    monkeypatch.setattr(operators, "get_blas_funcs", counting)
 
 
 def traced_peak(func, *args):

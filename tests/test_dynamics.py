@@ -23,6 +23,7 @@ from zenocav.models import ModelParams, Variant, build_model
 from zenocav.operators import hermitian_blocks, parity_frame, vectorize
 
 from conftest import (
+    count_blas_calls,
     damping_model,
     random_density_matrix,
     symmetric_open_systems,
@@ -120,14 +121,14 @@ def test_evolve_memory_peak(preset, t_end, stride, bound):
         # Taylor products are sparse), 4 squarings for P^16, 15 baby-step
         # rows, the grid, and for the 2 giant steps and the 8 strides after
         # them one state product (gemv) and one product of the empty ends
-        # (gemm) each, then the ends' readings; fig1c has two blocks.
-        pytest.param("fig1c", 40.0, 500, {"gemm": 68, "gemv": 20}, id="fig1c"),
-        # One block: the remainder propagator exp(0.001 M) (no squaring, 1
-        # gemv), the rest propagator exp(0.8 M) (3 squarings) and its product
-        # with the ends, the stride propagator exp(1.4 M) (4 squarings), P^16
-        # (4), 1 giant step and 12 strides after it, 15 rows, the grid and
-        # the ends' readings.
-        pytest.param("fig4c", 40.001, 700, {"gemm": 42, "gemv": 14}, id="fig4c-rest-remainder"),
+        # (gemm) each, then the ends' readings; fig1c has two blocks, and
+        # its final state takes two products back out of the parity basis.
+        pytest.param("fig1c", 40.0, 500, {"gemm": 70, "gemv": 20}, id="fig1c"),
+        # One block: the remainder interval and the rest act on their
+        # columns by sparse products only; then the stride propagator
+        # exp(1.4 M) (4 squarings), P^16 (4), 1 giant step and 12 strides
+        # after it, 15 rows, the grid and the ends' readings.
+        pytest.param("fig4c", 40.001, 700, {"gemm": 38, "gemv": 13}, id="fig4c-rest-remainder"),
     ],
 )
 def test_evolve_products_run_on_scipy_blas(monkeypatch, preset, t_end, stride, calls):
@@ -138,26 +139,13 @@ def test_evolve_products_run_on_scipy_blas(monkeypatch, preset, t_end, stride, c
     params = config.params
     me = build_model(params)
     rho0 = initial_density_matrix(config.run.initial_state, params)
-    real = dynamics.get_blas_funcs
     seen = {}
 
     def poisoned(*args, **kwargs):
         raise AssertionError("np.linalg.matrix_power called")
 
-    def counting(name, arrays):
-        routine = real(name, arrays)
-
-        def call(*args, **kwargs):
-            for arg in args:
-                if isinstance(arg, np.ndarray):
-                    assert arg.flags.f_contiguous and arg.dtype.char == routine.typecode
-            seen[name] = seen.get(name, 0) + 1
-            return routine(*args, **kwargs)
-
-        return call
-
     monkeypatch.setattr(np.linalg, "matrix_power", poisoned)
-    monkeypatch.setattr(dynamics, "get_blas_funcs", counting)
+    count_blas_calls(monkeypatch, seen)
     traj = evolve(
         me, rho0, t_end, config.run.dt, [("P_S", named_state("S", params).projector)], stride
     )
@@ -239,29 +227,50 @@ def _block_generators(preset):
 def test_exponential_matches_expm(preset, tau):
     # fig1c's even block (369) and fig4c's one block (729), where the tau
     # take no squaring, 3 and 7; a zero generator takes none at any tau.
+    # The Taylor action on two columns and on one, which takes 1, 7 and 128
+    # steps at fig4c, is held to the same bound relative to its result.
     block = np.zeros((5, 5)) if preset == "zero" else _block_generators(preset)[0]
+    generator = scipy.sparse.csr_array(block)
     exact = scipy.linalg.expm(tau * block)
-    result = dynamics._exponential(scipy.sparse.csr_array(block), tau)
+    result = dynamics._exponential(generator, tau)
     assert result.flags.c_contiguous
     assert np.max(np.abs(result - exact)) <= 1e-12
+    rng = np.random.default_rng(7)
+    for x in (rng.normal(size=(block.shape[0], 2)), rng.normal(size=block.shape[0])):
+        expected = exact @ x
+        action = dynamics._exponential_action(generator, tau, x)
+        assert np.max(np.abs(action - expected)) <= 1e-12 * np.abs(expected).max()
 
 
-@pytest.mark.parametrize("preset", ["fig1c", "fig4c"])
-def test_evolve_matches_dense_expm(preset):
+@pytest.mark.parametrize(
+    "preset, t_end, stride",
+    [
+        pytest.param("fig1c", 200.0, None, id="fig1c"),
+        pytest.param("fig4c", 200.0, None, id="fig4c"),
+        # A last sample 0.001 after the last whole stride, and one 400 units
+        # of dt after it: the Taylor actions of the remainder and the rest.
+        pytest.param("fig4c", 10.001, None, id="fig4c-remainder"),
+        pytest.param("fig4c", 12.0, 700, id="fig4c-rest"),
+    ],
+)
+def test_evolve_matches_dense_expm(preset, t_end, stride):
     # The reference raises a dense expm of the whole complex generator over
-    # one sample interval on the column-stacked state.
+    # each sample interval on the column-stacked state.
     config = resolve_config(preset)
     run, params = config.run, config.params
     me = build_model(params)
     rho0 = initial_density_matrix(run.initial_state, params)
     observables = [(label, named_state(label, params).projector) for label in ("g00", "g11", "T", "S")]
-    traj = evolve(me, rho0, 200.0, run.dt, observables, run.sample_stride)
-    step = scipy.linalg.expm(run.sample_stride * run.dt * liouvillian(me.hamiltonian, me.collapse_ops))
+    traj = evolve(me, rho0, t_end, run.dt, observables, stride or run.sample_stride)
+    liouv = liouvillian(me.hamiltonian, me.collapse_ops)
+    steps = {}
     rows = np.array([vectorize(op.conj()) for _, op in observables])
     vec = vectorize(rho0)
     expected = [rows @ vec]
-    for _ in range(len(traj.times) - 1):
-        vec = step @ vec
+    for interval in np.diff(traj.times).round(12):
+        if interval not in steps:
+            steps[interval] = scipy.linalg.expm(interval * liouv)
+        vec = steps[interval] @ vec
         expected.append(rows @ vec)
     records = np.array([traj.records[label] for label, _ in observables]).T
     assert np.max(np.abs(records - np.real(expected))) <= 1e-12

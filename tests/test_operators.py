@@ -25,6 +25,7 @@ from zenocav.operators import (
     operator_to_dict,
     parity_blocks,
     parity_frame,
+    sparse_hermitian_blocks,
     tensor_product,
     to_hermitian,
     validate_density_matrix,
@@ -329,6 +330,24 @@ def test_hermitian_generator_acts_as_the_generator(system):
     (generator,) = hermitian_blocks(sop, block_plan(h.shape[0], [np.arange(sop.shape[0])]))
     real = generator @ to_hermitian(herm)
     assert np.max(np.abs(real - direct)) <= 1e-12 * scale * (1.0 + np.abs(herm).max())
+
+
+@given(symmetric_open_systems())
+def test_sparse_blocks_match_hermitian_blocks(me):
+    # The sparse assembly writes the same blocks as the dense one, in the
+    # parity frame and as one block of every coordinate, up to the rounding
+    # of its different summation order, which scales with the operators.
+    frame = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
+    h = frame.hamiltonian
+    collapse_ops = [frame.rotate(c) for c in me.collapse_ops]
+    scale = np.abs(h).max() + sum(np.abs(c).max() ** 2 for c in collapse_ops)
+    for split in (frame.blocks, (np.arange(me.dim**2),)):
+        dense = hermitian_blocks(liouvillian(h, collapse_ops), block_plan(me.dim, split))
+        sparse = sparse_hermitian_blocks(h, collapse_ops, split)
+        assert len(sparse) == len(split)
+        for part, block in zip(sparse, dense):
+            assert part.format == "csr" and part.dtype == np.float64
+            assert np.max(np.abs(part.toarray() - block), initial=0.0) <= 1e-14 * scale
 
 
 @given(symmetric_open_systems())

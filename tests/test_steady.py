@@ -25,6 +25,7 @@ from zenocav.operators import devectorize, hermiticity_defect, vectorize
 from zenocav.steady import NULLSPACE_TOL_SCALE, nullspace_dimension
 
 from conftest import (
+    count_blas_calls,
     damping_model,
     random_density_matrix,
     symmetric_open_systems,
@@ -236,6 +237,11 @@ def test_eigenvector_fallback_decomposes_once(monkeypatch):
     assert np.array_equal(result.rho, expected.rho)
 
 
+def force_solver(monkeypatch, sparse):
+    """Send every model to the sparse (SuperLU) or to the dense (LAPACK) solver."""
+    monkeypatch.setattr(steady_mod, "SPARSE_ABOVE", 0 if sparse else math.inf)
+
+
 # The numpy.linalg functions that call LAPACK; norm's 1-norm does not.
 NUMPY_LAPACK = (
     "eigh", "eig", "eigvals", "eigvalsh", "svd", "solve",
@@ -254,8 +260,19 @@ def solved_blocks(me):
         (build_model(resolve_config("fig4c").params), solved_blocks, (729,)),
         (damping_model(1e-15), lambda me: steady_state(me).method, "eigenvector"),
         (damping_model(0.5), nullspace_dimension, 1),
+        (
+            build_model(replace(resolve_config("preset1").params, n_max=4)),
+            solved_blocks,
+            (1017, 1008),
+        ),
     ],
-    ids=["fig3-bell-parity-blocks", "fig4c-klm", "eigenvector-fallback", "nullspace-dimension"],
+    ids=[
+        "fig3-bell-parity-blocks",
+        "fig4c-klm",
+        "eigenvector-fallback",
+        "nullspace-dimension",
+        "preset1-n_max4-sparse",
+    ],
 )
 def test_solve_calls_no_numpy_lapack(monkeypatch, me, run, expected):
     # A pip-installed numpy and scipy each load their own OpenBLAS, two
@@ -273,6 +290,28 @@ def test_solve_calls_no_numpy_lapack(monkeypatch, me, run, expected):
     for name in NUMPY_LAPACK:
         monkeypatch.setattr(np.linalg, name, refuse(name))
     assert run(me) == expected
+
+
+def test_solve_products_run_on_scipy_blas(monkeypatch):
+    # At dim 72 (n_max = 7) numpy threads its complex products and would
+    # wake its own OpenBLAS workers between scipy's factorizations.  Every
+    # product of the rotation back out of the parity basis, the positivity
+    # repair and the residual is a scipy gemm instead: np.matmul is
+    # poisoned, and the count shows that no @ is left.
+    me = full_model("preset1", "bell_full", 7)
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("np.matmul called")
+
+    monkeypatch.setattr(np, "matmul", poisoned)
+    seen = {}
+    count_blas_calls(monkeypatch, seen)
+    result = steady_state(me)
+    assert result.blocks == (2592, 2592)
+    # Two products rotate back, one rebuilds the state from its clipped
+    # eigenvalues, and the residual takes two for the Hamiltonian and five
+    # for each of the five collapse operators.
+    assert seen == {"gemm": 2 + int(result.clip_magnitude > 0) + 2 + 5 * 5}
 
 
 @pytest.mark.parametrize(
@@ -299,6 +338,72 @@ def test_solve_assembles_once_and_factors_each_block(monkeypatch, params, sizes)
     assert all(system.dtype == np.float64 for system in systems)
     assert tuple(system.shape for system in systems) == tuple((n, n) for n in sizes)
     assert result.blocks == sizes
+
+
+def full_model(name, variant, n_max):
+    params = resolve_config(name).params.with_variant(Variant.parse(variant))
+    return build_model(replace(params, n_max=n_max))
+
+
+# The calls that assemble a generator and factor its blocks.
+ASSEMBLY_AND_FACTOR = ("liouvillian", "sparse_hermitian_blocks", "lu_factor", "splu")
+
+
+@pytest.mark.parametrize(
+    "model, calls",
+    [
+        pytest.param(("fig3", "bell_full", 2), (1, 0, 2, 0), id="fig3-dense"),
+        pytest.param(("fig4c", "klm_full", 2), (1, 0, 1, 0), id="fig4c-dense"),
+        pytest.param(("preset1", "bell_full", 4), (0, 1, 0, 2), id="bell-n_max4-sparse"),
+        pytest.param(("preset1", "klm_full", 4), (0, 1, 0, 1), id="klm-n_max4-sparse"),
+    ],
+)
+def test_generator_size_selects_the_solver(monkeypatch, model, calls):
+    # Up to dim 27 (729 coordinates) the dense complex generator is built
+    # and LAPACK factors its blocks; an n_max = 4 model (dim 45) builds its
+    # blocks sparse, with no complex generator, and SuperLU factors them.
+    me = full_model(*model)
+    seen = {name: [] for name in ASSEMBLY_AND_FACTOR}
+    for name in ASSEMBLY_AND_FACTOR:
+        counting(monkeypatch, steady_mod, name, seen[name])
+    result = steady_state(me)
+    assert result.method == "trace_replacement"
+    assert tuple(len(seen[name]) for name in ASSEMBLY_AND_FACTOR) == calls
+    assert sum(result.blocks) == me.dim**2
+
+
+@pytest.mark.parametrize("variant", ["bell_full", "klm_full"])
+@pytest.mark.parametrize("name", ["fig3", "fig2b", "fig4c", "preset1", "preset2", "preset3"])
+def test_sparse_path_matches_dense(monkeypatch, name, variant):
+    for n_max in (2, 3, 4, 5):
+        me = full_model(name, variant, n_max)
+        force_solver(monkeypatch, sparse=True)
+        sparse = steady_state(me)
+        force_solver(monkeypatch, sparse=False)
+        dense = steady_state(me)
+        assert sparse.method == dense.method == "trace_replacement"
+        assert sparse.blocks == dense.blocks
+        assert np.max(np.abs(sparse.rho - dense.rho)) <= 1e-12
+        assert sparse.rcond == pytest.approx(dense.rcond, rel=1e-3)
+
+
+@pytest.mark.parametrize("variant", ["bell_full", "klm_full"])
+@pytest.mark.parametrize("name", ["fig2b", "preset1"])
+def test_sparse_rcond_bounds_the_exact_condition(monkeypatch, name, variant):
+    # onenormest's ||E^-1||_1 is a lower bound, so the estimate is at least
+    # the exact 1/(||E||_1 ||E^-1||_1) of the worse block; it equals it to
+    # rounding at preset1 and is 3e-4 above it for klm_full at fig2b, as
+    # LAPACK's gecon is on the dense blocks.
+    force_solver(monkeypatch, sparse=True)
+    for n_max in (2, 3, 4):
+        me = full_model(name, variant, n_max)
+        exact = []
+        for k, part in enumerate(steady_mod._real_blocks(me)[1]):
+            system = (steady_mod._with_trace_row(part, me.dim) if k == 0 else part).toarray()
+            norms = [np.abs(a).sum(axis=0).max() for a in (system, np.linalg.inv(system))]
+            exact.append(1.0 / (norms[0] * norms[1]))
+        rcond = steady_state(me).rcond
+        assert min(exact) * (1 - 1e-12) <= rcond <= min(exact) * (1 + 1e-3)
 
 
 def test_model_without_symmetry_is_one_block(weak_drive_params):
@@ -379,6 +484,40 @@ def test_eigenvector_fallback_on_parity_blocks(monkeypatch):
     assert result.method == "eigenvector"
     assert result.nullspace_dimension == 1
     assert np.max(np.abs(result.rho - np.eye(2) / 2)) < 1e-9
+
+
+def test_sparse_path_finds_odd_block_degeneracy(monkeypatch):
+    # test_odd_block_degeneracy_is_not_missed's model on SuperLU: the odd
+    # block's second stationary state is found there too, and no complex
+    # generator is assembled.
+    sigma_z = np.diag([1.0, -1.0])
+    me = swap_symmetric_toy(np.zeros((2, 2)), [math.sqrt(0.3) * sigma_z])
+    force_solver(monkeypatch, sparse=True)
+    calls = {"liouvillian": [], "lu_factor": [], "splu": []}
+    for name, seen in calls.items():
+        counting(monkeypatch, steady_mod, name, seen)
+    with pytest.raises(DegenerateSteadyStateError) as excinfo:
+        steady_state(me)
+    assert [args[0].shape for args in calls["splu"]] == [(2, 2), (2, 2)]
+    assert calls["lu_factor"] == []
+    assert excinfo.value.dimension == nullspace_dimension(me) == 2
+    # Neither the solve nor the count assembled the complex generator.
+    assert calls["liouvillian"] == []
+
+
+def test_sparse_path_eigenvector_fallback(monkeypatch):
+    # Rates of 1e-15 defeat SuperLU's conditioning as they do LAPACK's: the
+    # fallback decomposes the blocks, made dense, and finds the ground state.
+    force_solver(monkeypatch, sparse=True)
+    calls = {"liouvillian": [], "splu": [], "eig": []}
+    counting(monkeypatch, steady_mod, "liouvillian", calls["liouvillian"])
+    counting(monkeypatch, steady_mod, "splu", calls["splu"])
+    counting(monkeypatch, scipy.linalg, "eig", calls["eig"])
+    result = steady_state(damping_model(1e-15))
+    assert result.method == "eigenvector"
+    assert result.nullspace_dimension == 1
+    assert np.max(np.abs(result.rho - np.diag([1.0, 0.0]))) < 1e-9
+    assert {k: len(v) for k, v in calls.items()} == {"liouvillian": 0, "splu": 1, "eig": 1}
 
 
 def test_broken_symmetry_falls_back_to_one_block():
@@ -491,14 +630,29 @@ def test_diagnostics_fields(weak_drive_params):
     [(Variant.BELL_FULL, 1.05), (Variant.KLM_FULL, 1.05)],
     ids=["bell-parity-blocks", "klm-one-block"],
 )
-def test_steady_state_memory_peak(variant, generator_sizes):
-    # The real blocks are written over the complex generator, so the peak is
-    # that one generator plus row-block temporaries, whichever variant: 1.04
-    # generator sizes here.  The LU's own finiteness check, a bool copy of
-    # the block, read 1.06 on klm's one block; blocks built beside the
-    # generator read 1.28 (two parity blocks) and 1.54 (one).
+def test_steady_state_memory_peak(monkeypatch, variant, generator_sizes):
+    # On the dense path, forced at n_max = 3: the real blocks are written
+    # over the complex generator, so the peak is that one generator plus
+    # row-block temporaries, whichever variant: 1.04 generator sizes here.
+    # The LU's own finiteness check, a bool copy of the block, read 1.06 on
+    # klm's one block; blocks built beside the generator read 1.28 (two
+    # parity blocks) and 1.54 (one).
+    force_solver(monkeypatch, sparse=False)
     params = replace(resolve_config("preset1").params.with_variant(variant), n_max=3)
     me = build_model(params)
     result, peak = traced_peak(steady_state, me)
     assert result.method == "trace_replacement"
     assert peak <= generator_sizes * me.dim**4 * 16
+
+
+@pytest.mark.parametrize("variant", [Variant.BELL_FULL, Variant.KLM_FULL])
+def test_sparse_steady_state_memory_peak(variant):
+    # At n_max = 5 the sparse path holds no complex generator: its peak read
+    # 0.026 (bell_full) and 0.023 (klm_full) complex generator sizes, where
+    # the dense path reads 1.02-1.03.  SuperLU's own factors are allocated
+    # outside numpy and tracemalloc does not see them.
+    params = replace(resolve_config("preset1").params.with_variant(variant), n_max=5)
+    me = build_model(params)
+    result, peak = traced_peak(steady_state, me)
+    assert result.method == "trace_replacement"
+    assert peak <= 0.035 * me.dim**4 * 16
