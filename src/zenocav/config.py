@@ -48,22 +48,15 @@ class ConfigError(ValueError):
 
 @dataclass(frozen=True)
 class RunSettings:
-    """Time-evolution settings; t_end and initial_state have no defaults."""
+    """Time-evolution settings; t_end and initial_state have no defaults.
+
+    The values are checked where they are parsed (see _parse_value).
+    """
 
     t_end: float
     dt: float
     sample_stride: int
     initial_state: tuple  # ((label, weight), ...)
-
-    def __post_init__(self):
-        if self.t_end < 0:
-            raise ValueError(f"t_end must be non-negative, got {self.t_end}")
-        if self.dt <= 0:
-            raise ValueError(f"dt must be positive, got {self.dt}")
-        if self.sample_stride < 1:
-            raise ValueError(f"sample_stride must be >= 1, got {self.sample_stride}")
-        if not self.initial_state:
-            raise ValueError("initial_state is empty")
 
 
 @dataclass(frozen=True)
@@ -137,16 +130,25 @@ def _parse_value(key, value, origin, line):
     if key == "initial_state":
         return _parse_initial_state(value, origin, line)
     if key in ("n_max", "sample_stride"):
-        return _parse_int(value, key, origin, line)
-    if key in MODEL_KEYS or key in RUN_KEYS:
-        return _parse_float(value, key, origin, line)
-    raise ConfigError(f"unknown key {key!r}", origin, line)
+        number = _parse_int(value, key, origin, line)
+    elif key in MODEL_KEYS or key in RUN_KEYS:
+        number = _parse_float(value, key, origin, line)
+    else:
+        raise ConfigError(f"unknown key {key!r}", origin, line)
+    # The run values are checked here, where a file and the overrides both
+    # pass, so that a file's error names its line.
+    if key == "t_end" and number < 0:
+        raise ConfigError(f"t_end must be non-negative, got {number!r}", origin, line)
+    if key == "dt" and number <= 0:
+        raise ConfigError(f"dt must be positive, got {number!r}", origin, line)
+    if key == "sample_stride" and number < 1:
+        raise ConfigError(f"sample_stride must be >= 1, got {number}", origin, line)
+    return number
 
 
 def parse_config_text(text: str, origin: str = "<config>") -> Config:
     """Parse configuration text; raises ConfigError with line numbers."""
     values = {}
-    lines = {}
     for lineno, line in enumerate(text.splitlines(), start=1):
         stripped = line.split("#", 1)[0].strip()
         if not stripped:
@@ -161,7 +163,6 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
         if not value:
             raise ConfigError(f"empty value for {key!r}", origin, lineno)
         values[key] = _parse_value(key, value, origin, lineno)
-        lines[key] = lineno
 
     for key in ("omega", "omega_mw", "delta", "gamma", "kappa", "variant"):
         if key not in values:
@@ -179,19 +180,13 @@ def parse_config_text(text: str, origin: str = "<config>") -> Config:
                     f"run settings need both t_end and initial_state; missing {key!r}",
                     origin,
                 )
-        t_end = values["t_end"]
-        if t_end < 0:
-            raise ConfigError("t_end must be non-negative", origin, lines["t_end"])
         default_dt = DEFAULT_DT_FULL if params.variant.is_full else DEFAULT_DT_EFFECTIVE
-        dt = values.get("dt", default_dt)
-        if dt <= 0:
-            raise ConfigError("dt must be positive", origin, lines.get("dt"))
-        stride = values.get("sample_stride", DEFAULT_SAMPLE_STRIDE)
-        if stride < 1:
-            raise ConfigError(
-                "sample_stride must be >= 1", origin, lines.get("sample_stride")
-            )
-        run = RunSettings(t_end, dt, stride, values["initial_state"])
+        run = RunSettings(
+            values["t_end"],
+            values.get("dt", default_dt),
+            values.get("sample_stride", DEFAULT_SAMPLE_STRIDE),
+            values["initial_state"],
+        )
     elif "dt" in values or "sample_stride" in values:
         raise ConfigError(
             "dt/sample_stride given without t_end and initial_state", origin

@@ -7,31 +7,32 @@ t is exp(t M) applied to the initial state, and the propagator of one
 sampling stride, P = exp(stride dt M), is built once by a scaled Taylor
 exponential (see _exponential), exact up to rounding.  ``dt`` is the unit of
 the sample grid, not an integration step: no error depends on it.  M is
-about 1% nonzero at the bundled presets and is held sparse, so the Taylor
-polynomial costs sparse products, and only the squarings that undo its
-scaling are dense.  The propagators are exponentials of one generator, so
-they commute: the units of dt after the last whole stride, and a final
-partial interval, are applied to the initial state first, as the Taylor
-action of the exponential on those few columns (see _exponential_action),
-with no dense propagator.  A model whose operators respect its symmetry
-evolves in the symmetry's parity basis, where M splits into an even and an
-odd block that never mix; each is built straight from the complex generator
-and propagated on its own, and the readings of the blocks add.  A block
-whose initial coordinates are all zero stays zero and reads zero, so it is
-not propagated at all.  The readings ``R P^k x`` at the samples come by baby
+about 1% nonzero at the bundled presets and is built sparse, straight from
+the operators (see operators.sparse_hermitian_blocks), so no dense complex
+generator is formed; the Taylor polynomial costs sparse products, and only
+the squarings that undo its scaling are dense.  A model whose operators
+respect its symmetry evolves in the symmetry's parity basis, where M splits
+into an even and an odd block that never mix; each is propagated on its
+own, and the readings of the blocks add.  A block whose initial
+coordinates are all zero stays zero and reads zero, so it is not
+propagated at all.  The readings ``R P^k x`` at the samples come by baby
 steps and giant steps: the rows ``R P^j`` for j below BABY_STEPS and the
 states ``P^(BABY_STEPS i) x``, so that one product of the two stacks reads
-every sample and only one state product in BABY_STEPS is paid.  The
-exponential keeps the trace up to rounding, so a trace that is no longer 1
-means a state that overflowed or is not a number, and a population that
-leaves [0, 1] a generator that is not physical.  Every dense product with
-the propagators or the states is a BLAS call through scipy (see
-operators.blas_matmul), as every threaded BLAS and LAPACK call in the
-package is: a pip-installed numpy and scipy each load their own OpenBLAS,
-whose worker threads spin for a while after each parallel call, so products
-on numpy's between two steady-state LUs on scipy's would leave one runtime's
-threads on the cores the other needs.  The sparse products run in scipy's
-own compiled loops, on no BLAS.
+every sample and only one state product in BABY_STEPS is paid; P is
+squared into P^BABY_STEPS by rebinding it, so at most two dense
+propagators are alive.  The units of dt after the last whole stride, and a final partial
+interval, then act on the final state in time order, as the Taylor action
+of their exponentials on one column (see _exponential_action), with no
+dense propagator.  The exponential keeps the trace up to rounding, so a
+trace that is no longer 1 means a state that overflowed or is not a
+number, and a population that leaves [0, 1] a generator that is not
+physical.  Every dense product with the propagators or the states is a
+BLAS call through scipy (see operators.blas_matmul), as every threaded BLAS
+and LAPACK call in the package is: a pip-installed numpy and scipy each
+load their own OpenBLAS, whose worker threads spin for a while after each
+parallel call, so products on numpy's between two steady-state LUs on
+scipy's would leave one runtime's threads on the cores the other needs.
+The sparse products run in scipy's own compiled loops, on no BLAS.
 """
 
 from __future__ import annotations
@@ -40,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_array
 
 from .models import MasterEquationSpec
 from .operators import (
@@ -49,9 +49,8 @@ from .operators import (
     DensityMatrixReport,
     blas_matmul,
     from_hermitian,
-    hermitian_blocks,
     hermiticity_defect,
-    liouvillian,
+    sparse_hermitian_blocks,
     to_hermitian,
     validate_density_matrix,
 )
@@ -67,12 +66,13 @@ TRACE_ABORT = 1e-4
 # 33, 488 (2011), the value scipy's expm_multiply uses.
 TAYLOR_DEGREE = 18
 TAYLOR_THETA = 1.09
-# Samples per baby-step group of the readout (see _advance).  A group pays
-# one state product (n^2, n the block's coordinate count) where stepping
-# pays BABY_STEPS; the one-off cost grows with it: BABY_STEPS - 1 products
-# of the few readout rows with P (n^2 each) and log2(BABY_STEPS) squarings
-# (n^3 each) for the giant step.  At dim 27 on two cores evolve takes the
-# same time from 8 to 32 and more above, where the squarings dominate.
+# Samples per baby-step group of the readout (see _advance); a power of two,
+# since P is squared log2(BABY_STEPS) times into the giant step.  A group
+# pays one state product (n^2, n the block's coordinate count) where
+# stepping pays BABY_STEPS; the one-off cost grows with it: BABY_STEPS - 1
+# products of the few readout rows with P (n^2 each) and the squarings (n^3
+# each).  At dim 27 on two cores evolve takes the same time from 8 to 32
+# and more above, where the squarings dominate.
 BABY_STEPS = 16
 
 
@@ -111,17 +111,6 @@ class Trajectory:
                 fh.write(",".join(row) + "\n")
 
 
-def _power(a: np.ndarray, n: int) -> np.ndarray:
-    """a**n for n >= 1, squaring as np.linalg.matrix_power does, on blas_matmul."""
-    z = result = None
-    while n:
-        z = a if z is None else blas_matmul(z, z)
-        n, bit = divmod(n, 2)
-        if bit:
-            result = z if result is None else blas_matmul(result, z)
-    return result
-
-
 def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     """One Runge-Kutta step as a matrix: the degree-4 Taylor sum of exp(dt L)."""
     a = dt * liouv
@@ -139,7 +128,7 @@ def rk4_propagator(liouv: np.ndarray, dt: float) -> np.ndarray:
     return t
 
 
-def _exponential(generator: csr_array, tau: float) -> np.ndarray:
+def _exponential(generator, tau: float) -> np.ndarray:
     """exp(tau M) for a sparse real generator M, dense and C-ordered.
 
     tau M is halved s times, until its 1-norm is below TAYLOR_THETA; the
@@ -164,7 +153,7 @@ def _exponential(generator: csr_array, tau: float) -> np.ndarray:
     return t
 
 
-def _exponential_action(generator: csr_array, tau: float, x: np.ndarray) -> np.ndarray:
+def _exponential_action(generator, tau: float, x: np.ndarray) -> np.ndarray:
     """exp(tau M) x for a sparse real generator M and a few dense columns x.
 
     tau is cut into s equal steps, the fewest whose tau M / s has 1-norm at
@@ -189,43 +178,43 @@ def _advance(generator, idx, readout, x0, dt, stride, count, rest, remainder):
     """One block's readings at every sample, and its final state.
 
     The first count + 1 samples read ``readout P^k x0``, P = exp(stride dt M)
-    the propagator of one stride; with k = m i + j that is the baby-step row
-    ``readout P^j`` dotted with the giant-step state ``P^(m i) x0``, so one
-    product of the stacked rows and states reads them all.  The propagators
-    are exponentials of the one generator and commute, so those of the last
-    ``rest`` units of dt and of the ``remainder`` interval act on x0 first,
-    as Taylor actions on the columns of ``ends``, which then advance along
-    with the states.
+    the propagator of one stride.  The baby-step rows ``readout P^j``, j
+    below BABY_STEPS, are read first; then the lead = count % BABY_STEPS
+    strides act on x0, P is squared into P^BABY_STEPS by rebinding it, so
+    that at most two dense n^2 arrays are alive, and the giant steps run
+    from the lead state.  With k = lead + BABY_STEPS i + j
+    one product of the stacked rows with x0 and the giant-step states reads
+    every sample: those below lead from x0's column.  The last ``rest``
+    units of dt and the ``remainder`` interval then act on the final state
+    in time order, as Taylor actions.
     """
-    ends = [x0] if rest else []
-    if remainder:
-        ends.append(_exponential_action(generator, remainder, x0))
-    ends = np.stack(ends, axis=1) if ends else np.empty((x0.size, 0))
-    if rest:
-        ends = _exponential_action(generator, rest * dt, ends)
+    # take keeps C order, where readout[:, idx] comes out Fortran-ordered.
+    readout = readout.take(idx, axis=1)
+    rows = [readout]
+    lead = count % BABY_STEPS
+    x = x0
     if count:
         power = _exponential(generator, stride * dt)
-    states = [x0]
-    if count >= BABY_STEPS:
-        giant = _power(power, BABY_STEPS)
-        for _ in range(count // BABY_STEPS):
-            states.append(blas_matmul(giant, states[-1]))
-            ends = blas_matmul(giant, ends)
-    # Gathered after the powers, whose products set the memory peak; take
-    # keeps C order, where readout[:, idx] comes out Fortran-ordered.
-    readout = readout.take(idx, axis=1)
-    m = min(BABY_STEPS, count + 1)
-    rows = [readout]
-    for _ in range(m - 1):
-        rows.append(blas_matmul(rows[-1], power))
-    grid = blas_matmul(np.concatenate(rows), np.column_stack(states))
+        for _ in range(min(BABY_STEPS, count + 1) - 1):
+            rows.append(blas_matmul(rows[-1], power))
+        for _ in range(lead):
+            x = blas_matmul(power, x)
+        if count >= BABY_STEPS:
+            for _ in range(BABY_STEPS.bit_length() - 1):
+                power = blas_matmul(power, power)
+    states = [x]
+    for _ in range(count // BABY_STEPS):
+        states.append(blas_matmul(power, states[-1]))
     n_rows = readout.shape[0]
-    readings = grid.reshape(m, n_rows, -1).transpose(2, 0, 1).reshape(-1, n_rows)[: count + 1]
+    grid = blas_matmul(np.concatenate(rows), np.column_stack([x0, *states]))
+    grid = grid.reshape(len(rows), n_rows, -1).transpose(2, 0, 1)
+    readings = [np.concatenate([grid[0, :lead], grid[1:].reshape(-1, n_rows)])[: count + 1]]
     x = states[-1]
-    for _ in range(count % BABY_STEPS):
-        x = blas_matmul(power, x)
-        ends = blas_matmul(power, ends)
-    return np.vstack([readings, blas_matmul(readout, ends).T]), ends[:, -1] if ends.size else x
+    for tau in (rest * dt, remainder):
+        if tau:
+            x = _exponential_action(generator, tau, x)
+            readings.append(blas_matmul(readout, x))
+    return np.vstack(readings), x
 
 
 def evolve(
@@ -260,13 +249,15 @@ def evolve(
     on its operators, one block of coordinates at a time; the final state is
     rotated back.  The frame is the one me carries (see
     MasterEquationSpec.frame); only the collapse operators, the observables
-    and the initial state are rotated here.  Each block's propagator over
-    one stride is a scaled Taylor exponential of its sparse generator (see
-    _exponential), and the samples one stride apart are read by baby steps
-    and giant steps (see _advance); the units after the last whole stride
-    and the final partial interval are applied to the initial state first,
-    by the Taylor action of their exponentials (see _exponential_action).
-    A block whose initial coordinates are all zero is skipped.  Raises
+    and the initial state are rotated here.  Each block's generator is
+    assembled sparse from the operators, and no complex generator is built
+    (see operators.sparse_hermitian_blocks).  Its propagator over one stride
+    is a scaled Taylor exponential (see _exponential), and the samples one
+    stride apart are read by baby steps and giant steps (see _advance); the
+    units after the last whole stride and the final partial interval then
+    act on the final state, by the Taylor action of their exponentials (see
+    _exponential_action).  A block whose initial coordinates are all zero is
+    neither assembled nor propagated.  Raises
     IntegrationError on a generator entry that is not finite, and, naming
     the first offending sample time, when a population leaves [0, 1] or the
     trace drifts beyond 1e-4 or is not a number.  The exponential and the
@@ -320,22 +311,20 @@ def evolve(
     stride = min(sample_stride, n_steps)
     count, rest = divmod(n_steps, stride) if n_steps else (0, 0)
 
-    # The blocks come straight from the complex generator, whose buffer they
-    # share; each is made sparse, and the buffer is gone before any propagator.
-    operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
-    blocks = hermitian_blocks(liouvillian(*operators), frame.plan)
-    del operators
-    if not all(np.isfinite(block).all() for block in blocks):
+    # Each block's coordinates advance in place; the blocks never mix, so a
+    # block that starts at exactly zero stays there and reads zero, and only
+    # the others are assembled, sparse and straight from the operators.
+    x = to_hermitian(frame.rotate(rho0))
+    live = [idx for idx in frame.blocks if x[idx].any()]
+    blocks = sparse_hermitian_blocks(
+        frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops], live
+    )
+    if not all(np.isfinite(block.data).all() for block in blocks):
         raise IntegrationError(
             "generator entries are not finite: the rates overflow double precision"
         )
-    # Each block's coordinates advance in place; the blocks never mix, so a
-    # block that starts at exactly zero stays there and reads zero.
-    x = to_hermitian(frame.rotate(rho0))
-    generators = [(idx, csr_array(b)) for idx, b in zip(frame.blocks, blocks) if x[idx].any()]
-    del blocks
     readings = 0.0
-    for idx, generator in generators:
+    for idx, generator in zip(live, blocks):
         block_readings, x[idx] = _advance(
             generator, idx, readout, x[idx], dt, stride, count, rest, remainder
         )

@@ -136,22 +136,21 @@ def _finite_norm(norm1: float) -> float:
 def _factor(system_t: np.ndarray):
     """LU of a Fortran-ordered M^T in place: a solve with M, and M's reciprocal condition.
 
-    An exactly singular system gives (None, 0.0).
+    lu_factor does not raise on an exactly singular system: it warns of the
+    zero pivot, and gecon then returns a reciprocal condition of 0.0, which
+    routes the solve to the eigenvector fallback.
     """
     # The factorization overwrites the system, so take the norm first.
     (lange,) = get_lapack_funcs(("lange",), (system_t,))
     norm1 = _finite_norm(float(lange("I", system_t)))
-    try:
-        with warnings.catch_warnings():
-            # An exactly singular factorization is an expected outcome here;
-            # it routes to the degeneracy check.
-            warnings.simplefilter("ignore", LinAlgWarning)
-            lu_pair = lu_factor(system_t, overwrite_a=True, check_finite=False)
-        # trans=1 solves with (M^T)^T = M.
-        solve = functools.partial(lu_solve, lu_pair, trans=1)
-        return solve, _reciprocal_condition(lu_pair, norm1)
-    except np.linalg.LinAlgError:
-        return None, 0.0
+    with warnings.catch_warnings():
+        # An exactly singular factorization is an expected outcome here;
+        # it routes to the degeneracy check.
+        warnings.simplefilter("ignore", LinAlgWarning)
+        lu_pair = lu_factor(system_t, overwrite_a=True, check_finite=False)
+    # trans=1 solves with (M^T)^T = M.
+    solve = functools.partial(lu_solve, lu_pair, trans=1)
+    return solve, _reciprocal_condition(lu_pair, norm1)
 
 
 def _sparse_factor(system: csc_array):

@@ -133,6 +133,22 @@ def test_evolve_needs_run_section(capsys):
     assert "t_end and initial_state" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "assignment, message",
+    [
+        ("t_end=-1", "t_end must be non-negative"),
+        ("dt=0", "dt must be positive"),
+        ("sample_stride=0", "sample_stride must be >= 1"),
+        ("initial_state=", "initial_state is empty"),
+    ],
+)
+def test_evolve_rejects_bad_run_overrides(tmp_path, capsys, assignment, message):
+    # Checked where the value is parsed, as a file's is; no output is written.
+    assert main(["evolve", "fig1c", "--set", assignment, "-o", "out.csv"]) == 2
+    assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_evolve_omega_needs_nonzero_base(tmp_path, capsys):
     cfg = write_cfg(tmp_path, omega=0.0, t_end=1.0, initial_state="g00")
     assert main(["evolve", cfg, "--omega", "0.1"]) == 2

@@ -111,6 +111,25 @@ def test_rejected_configs(line, fragment):
         parse(line + "\n")
 
 
+@pytest.mark.parametrize(
+    "key, value, message",
+    [
+        ("t_end", "-1", "t_end must be non-negative"),
+        ("dt", "0", "dt must be positive"),
+        ("sample_stride", "0", "sample_stride must be >= 1"),
+    ],
+)
+def test_run_value_errors_name_their_line(key, value, message):
+    run = {"t_end": "1", "dt": "0.1", "sample_stride": "10", "initial_state": "S"}
+    run[key] = value
+    text = MINIMAL + "".join(f"{k} = {v}\n" for k, v in run.items())
+    line = text.splitlines().index(f"{key} = {value}") + 1
+    with pytest.raises(ConfigError, match=message) as excinfo:
+        parse_config_text(text, origin="run.cfg")
+    assert excinfo.value.line == line
+    assert str(excinfo.value).startswith(f"run.cfg:{line}: ")
+
+
 def test_error_carries_origin_and_line():
     text = MINIMAL.replace("omega = 0.1", "omega = fast")
     with pytest.raises(ConfigError) as excinfo:

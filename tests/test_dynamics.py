@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -18,9 +19,10 @@ from zenocav import (
     resolve_config,
 )
 import zenocav.dynamics as dynamics
+import zenocav.operators as operators
 from zenocav.dynamics import Trajectory, rk4_propagator
 from zenocav.models import ModelParams, Variant, build_model
-from zenocav.operators import hermitian_blocks, parity_frame, vectorize
+from zenocav.operators import parity_frame, sparse_hermitian_blocks, vectorize
 
 from conftest import (
     count_blas_calls,
@@ -86,21 +88,23 @@ def test_propagator_holds_one_product():
 @pytest.mark.parametrize(
     "preset, t_end, stride, bound",
     [
-        pytest.param("fig1c", None, None, 2.25, id="stride"),
-        pytest.param("fig1c", 10.001, None, 2.25, id="remainder"),
-        pytest.param("fig4c", None, None, 2.25, id="one-block-stride"),
-        pytest.param("fig4c", 10.001, None, 2.25, id="one-block-remainder"),
-        pytest.param("fig4c", 12.0, 700, 2.25, id="one-block-rest"),
+        pytest.param("fig1c", None, None, 0.35, id="stride"),
+        pytest.param("fig1c", 10.001, None, 0.35, id="remainder"),
+        pytest.param("fig4c", None, None, 1.1, id="one-block-stride"),
+        pytest.param("fig4c", 10.001, None, 1.1, id="one-block-remainder"),
+        pytest.param("fig4c", 12.0, 700, 1.1, id="one-block-rest"),
     ],
 )
 def test_evolve_memory_peak(preset, t_end, stride, bound):
-    # In complex generator sizes: each power runs on the real generator, half
-    # that size, as the matrix it raises and the squaring's three operands.
-    # The remainder step and the steps after the last whole stride are
-    # applied to the initial state before the stride power is built, so they
-    # add no propagator to that peak.  fig1c evolves in two parity blocks of
-    # about a quarter of that each; fig4c (klm_full) has no symmetry and
-    # evolves as one block.
+    # In complex generator sizes, though none is built: the blocks come
+    # sparse from the operators.  A dense propagator of one block is half
+    # that size, and at most two are alive, the squaring's operand and its
+    # product, since the stride propagator is squared into the giant step by
+    # rebinding it.  The remainder interval and the units after the last
+    # whole stride act on the final state as Taylor actions, with no
+    # propagator.  fig4c (klm_full) has no symmetry and evolves as one block
+    # (measured 1.08); fig1c evolves in two parity blocks of about a quarter
+    # of that each (0.32).
     config = resolve_config(preset)
     run, params = config.run, config.params
     me = build_model(params)
@@ -114,21 +118,45 @@ def test_evolve_memory_peak(preset, t_end, stride, bound):
     assert peak <= bound * params.dim**4 * 16
 
 
+@pytest.mark.parametrize("preset", ["fig1c", "fig4c"])
+def test_evolve_builds_no_complex_generator(monkeypatch, preset):
+    # The blocks come sparse from the operators: wherever a zenocav module
+    # holds the dense assembly or the block writer, calling it fails.
+    dense = (operators.liouvillian, operators.hermitian_blocks)
+
+    def poisoned(*args, **kwargs):
+        raise AssertionError("dense generator assembled")
+
+    for name, module in list(sys.modules.items()):
+        if name == "zenocav" or name.startswith("zenocav."):
+            for attr, value in list(vars(module).items()):
+                if any(value is func for func in dense):
+                    monkeypatch.setattr(module, attr, poisoned)
+    config = resolve_config(preset)
+    params = config.params
+    me = build_model(params)
+    rho0 = initial_density_matrix(config.run.initial_state, params)
+    traj = evolve(me, rho0, 1.0, 0.002, [("P_S", named_state("S", params).projector)], 50)
+    assert traj.final_report.passed
+    with pytest.raises(AssertionError, match="dense generator"):
+        operators.liouvillian(me.hamiltonian, me.collapse_ops)
+
+
 @pytest.mark.parametrize(
     "preset, t_end, stride, calls",
     [
         # Per block: the 3 squarings of the stride propagator exp(M) (its
-        # Taylor products are sparse), 4 squarings for P^16, 15 baby-step
-        # rows, the grid, and for the 2 giant steps and the 8 strides after
-        # them one state product (gemv) and one product of the empty ends
-        # (gemm) each, then the ends' readings; fig1c has two blocks, and
-        # its final state takes two products back out of the parity basis.
-        pytest.param("fig1c", 40.0, 500, {"gemm": 70, "gemv": 20}, id="fig1c"),
-        # One block: the remainder interval and the rest act on their
-        # columns by sparse products only; then the stride propagator
-        # exp(1.4 M) (4 squarings), P^16 (4), 1 giant step and 12 strides
-        # after it, 15 rows, the grid and the ends' readings.
-        pytest.param("fig4c", 40.001, 700, {"gemm": 38, "gemv": 13}, id="fig4c-rest-remainder"),
+        # Taylor products are sparse), 15 baby-step rows, 4 squarings for
+        # P^16 and the grid (gemm), and one state product (gemv) for each
+        # of the 8 lead strides and the 2 giant steps; fig1c has two
+        # blocks, and its final state takes two products back out of the
+        # parity basis.
+        pytest.param("fig1c", 40.0, 500, {"gemm": 48, "gemv": 20}, id="fig1c"),
+        # One block: the stride propagator exp(1.4 M) (4 squarings), 15
+        # rows, P^16 (4) and the grid; 12 lead strides and 1 giant step;
+        # then the rest and the remainder interval act on the final state by
+        # sparse products only, and each is read by one gemv.
+        pytest.param("fig4c", 40.001, 700, {"gemm": 24, "gemv": 15}, id="fig4c-rest-remainder"),
     ],
 )
 def test_evolve_products_run_on_scipy_blas(monkeypatch, preset, t_end, stride, calls):
@@ -219,7 +247,7 @@ def _block_generators(preset):
     me = build_model(resolve_config(preset).params)
     frame = me.frame
     operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
-    return [block.copy() for block in hermitian_blocks(liouvillian(*operators), frame.plan)]
+    return [block.toarray() for block in sparse_hermitian_blocks(*operators, frame.blocks)]
 
 
 @pytest.mark.parametrize("tau", [0.001, 1.0, 16.0])
@@ -454,9 +482,10 @@ def test_non_finite_generator_is_named():
     # that, so the error names the generator, before any propagator.
     decay = np.array([[0.0, 1.0], [0.0, 0.0]])
     me = toy_model(np.diag([1e308, -1e308]), [decay])
+    # The entries overflow in scipy.sparse's compiled sums, which warn of
+    # nothing.
     with pytest.raises(IntegrationError, match="generator entries are not finite"):
-        with pytest.warns(RuntimeWarning, match="overflow"):
-            evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
+        evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
 
 
 @st.composite
@@ -485,7 +514,11 @@ def test_population_guard_fires_on_negative_rate_dissipator(system):
         return evolve(me, projector.astype(complex), 1.0, 0.01, [(label, projector)])
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "liouvillian", lambda h, ops: -liouvillian(h, ops))
+        mp.setattr(
+            dynamics,
+            "sparse_hermitian_blocks",
+            lambda *args: [-block for block in sparse_hermitian_blocks(*args)],
+        )
         with pytest.raises(IntegrationError, match=rf"population '{label}' = .* at t=\d"):
             run()
     assert run().value(label) == pytest.approx(math.exp(-rate), rel=1e-6)

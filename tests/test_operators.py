@@ -157,6 +157,17 @@ def test_expectation_mixed_ground_sector(transfer_params):
     assert expectation(s_proj, rho) == pytest.approx(0.25, abs=1e-12)
 
 
+@pytest.mark.parametrize("dim", [2, 5, 27, 54])
+def test_expectation_matches_trace_of_product(rng, dim):
+    # The trace is summed from the elementwise product, without obs @ rho.
+    for _ in range(3):
+        x = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+        obs = x + x.conj().T
+        rho = random_density_matrix(rng, dim)
+        expected = np.trace(obs @ rho)
+        assert expectation(obs, rho) == pytest.approx(expected.real, abs=1e-12 * dim)
+
+
 def test_expectation_dimension_mismatch():
     with pytest.raises(ValueError, match="dimension mismatch"):
         expectation(np.eye(2), np.eye(3) / 3)

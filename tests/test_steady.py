@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -207,6 +208,30 @@ def test_eigenvector_fallback_on_feeble_generator():
     assert result.method == "eigenvector"
     assert result.nullspace_dimension == 1
     assert np.max(np.abs(result.rho - np.diag([1.0, 0.0]))) < 1e-9
+
+
+def test_exactly_singular_dense_block_reaches_the_fallback_through_rcond(monkeypatch):
+    # lu_factor warns of an exactly zero pivot rather than raising, and gecon
+    # then reads the reciprocal condition as 0.0, which sends the solve to
+    # the eigenvector fallback.  Without dissipation the zero generator's one
+    # block is exactly singular, its trace row aside.
+    system_t = np.asfortranarray([[1.0, 2.0], [2.0, 4.0]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert steady_mod._factor(system_t)[1] == 0.0
+    rconds = []
+    real = steady_mod._factor
+
+    def recording(system_t):
+        solve, rcond = real(system_t)
+        rconds.append(rcond)
+        return solve, rcond
+
+    monkeypatch.setattr(steady_mod, "_factor", recording)
+    with pytest.raises(DegenerateSteadyStateError) as excinfo:
+        steady_state(toy_model(np.zeros((2, 2))))
+    assert rconds == [0.0]
+    assert excinfo.value.dimension == 4
 
 
 def counting(monkeypatch, owner, name, calls):
