@@ -212,7 +212,7 @@ class NamedState:
     def __post_init__(self):
         v = np.asarray(self.vector, dtype=complex).reshape(-1)
         object.__setattr__(self, "vector", v)
-        norm = np.linalg.norm(v)
+        norm = float(np.linalg.norm(v))
         if abs(norm - 1.0) > 1e-12:
             raise ValueError(f"state {self.label!r} has norm {norm!r}, expected 1")
 

@@ -12,9 +12,10 @@ a quarter of the cost of the whole.  The generator's size selects the
 solver.  Up to SPARSE_ABOVE coordinates (dim 27, every bundled preset) the
 blocks are dense, written over the dense complex generator, and LAPACK
 factors them; above it they are under 1% nonzero, so they are assembled
-sparse straight from the operators, with no complex generator, and SuperLU
-factors them (a dense complex generator at n_max = 10 would take 1.5 GB).
-That frame (the symmetry check, the basis and blocks, the rotated
+sparse straight from the operators, with no complex generator (at
+n_max = 10 it would take 1.5 GB), and SuperLU factors them in its symmetric
+mode, their pattern being nearly symmetric, refining every solve once.  That
+frame (the symmetry check, the basis and blocks, the rotated
 Hamiltonian and the blocks' index plan) is the one the model carries,
 MasterEquationSpec.frame: found once for every point of a RateFamily, and
 at each solve for any other model; a solve rotates only its own collapse
@@ -67,12 +68,21 @@ CLIP_LIMIT = PHYSICAL_TOL
 RESIDUAL_LIMIT = 1e-9
 # A generator with more Hermitian coordinates than this (dim**2) is assembled
 # sparse and factored by SuperLU; up to it (dim 27, every bundled preset at
-# its own n_max) the dense assembly and LU are the faster.  At preset1 a
-# solve took 11 ms dense against 17 ms sparse (bell_full) and 21 against 26
-# ms (klm_full) at n_max = 2, and 28 against 25 ms and 58 against 52 ms at
-# n_max = 3 (dim 36), where the real blocks are under 1% nonzero (medians
-# of 5, 2 vCPU).
+# its own n_max) the dense assembly and LU are the faster, also against
+# SuperLU's symmetric mode.  At preset1 a solve took 8.3 ms dense against
+# 14.3 ms sparse (bell_full) and 15.0 against 17.7 ms (klm_full) at
+# n_max = 2, and 25.6 against 24.3 ms and 50.8 against 34.0 ms at n_max = 3
+# (dim 36), where the real blocks are under 1% nonzero (medians of 8, 2 vCPU).
 SPARSE_ABOVE = 27**2
+# SuperLU's symmetric mode, which its Users' Guide advises for a matrix
+# whose pattern is nearly symmetric, as the blocks' are: columns ordered by
+# minimum degree on A^T + A, and the diagonal entry taken as pivot unless it
+# is below DIAG_PIVOT_THRESH times its column's largest (Li, ACM TOMS 31,
+# 302 (2005)).  One step of iterative refinement on every solve brings the
+# backward error back below that of partial pivoting (Skeel, Math. Comp. 35,
+# 817 (1980)).
+SUPERLU_ORDERING = "MMD_AT_PLUS_A"
+DIAG_PIVOT_THRESH = 0.01
 
 
 class DegenerateSteadyStateError(RuntimeError):
@@ -153,24 +163,43 @@ def _factor(system_t: np.ndarray):
     return solve, _reciprocal_condition(lu_pair, norm1)
 
 
+def _refined_solve(lu, system: csc_array, trans: str):
+    """A solve with system (trans "N") or its transpose ("T"), refined once against it."""
+    matrix = system.T if trans == "T" else system
+
+    def solve(b):
+        x = lu.solve(b, trans)
+        x += lu.solve(b - matrix @ x, trans)
+        return x
+
+    return solve
+
+
 def _sparse_factor(system: csc_array):
     """SuperLU factors of a sparse M: a solve with M, and M's reciprocal condition estimate.
 
-    SuperLU orders the columns by COLAMD and pivots partially, its
-    defaults.  The estimate is 1/(||M||_1 ||M^-1||_1), the second norm by
-    Hager and Higham's method (onenormest) on solves with the factors and
-    their transpose; with one column it draws no random vectors, as LAPACK's
-    gecon does not.  An exactly singular system gives (None, 0.0).
+    SuperLU runs in its symmetric mode (SUPERLU_ORDERING, DIAG_PIVOT_THRESH),
+    and every solve with the factors, the state's and the estimate's both
+    ways, is refined once against M.  The estimate is 1/(||M||_1 ||M^-1||_1),
+    the second norm by Hager and Higham's method (onenormest) on those
+    solves; with one column it draws no random vectors, as LAPACK's gecon
+    does not.  An exactly singular system gives (None, 0.0).
     """
     norm1 = _finite_norm(float(abs(system).sum(axis=0).max()))
     try:
-        lu = splu(system)
+        lu = splu(
+            system,
+            permc_spec=SUPERLU_ORDERING,
+            diag_pivot_thresh=DIAG_PIVOT_THRESH,
+            options=dict(SymmetricMode=True),
+        )
     except RuntimeError:  # SuperLU's "Factor is exactly singular"
         return None, 0.0
+    solve = _refined_solve(lu, system, "N")
     inverse = LinearOperator(
-        system.shape, matvec=lu.solve, rmatvec=lambda b: lu.solve(b, trans="T"), dtype=float
+        system.shape, matvec=solve, rmatvec=_refined_solve(lu, system, "T"), dtype=float
     )
-    return lu.solve, 1.0 / (norm1 * onenormest(inverse, t=1))
+    return solve, 1.0 / (norm1 * onenormest(inverse, t=1))
 
 
 def _with_trace_row(system: csr_array, dim: int) -> csr_array:
@@ -306,7 +335,8 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
     odd one, whose nonsingularity rules out a second, odd stationary state.
     Up to SPARSE_ABOVE coordinates the blocks come dense, straight from the
     complex generator, and LAPACK factors them in place; above it they come
-    sparse, straight from the operators, and SuperLU factors them.  The
+    sparse, straight from the operators, and SuperLU factors them in its
+    symmetric mode, each solve refined once (_sparse_factor).  The
     state comes from the even block.  A tiny reciprocal condition number in
     either block rebuilds the blocks and triggers one eigendecomposition of
     each, on the blocks made dense: nullspace dimension >= 2 raises

@@ -17,6 +17,7 @@ from zenocav.models import (
     BELL_EFFECTIVE_LABELS,
     KLM_EFFECTIVE_LABELS,
     STATE_LABELS,
+    NamedState,
     RateFamily,
     atom_transition,
     cavity_mode,
@@ -78,6 +79,57 @@ def test_full_variant_needs_cavity_level():
         params(Variant.BELL_FULL, n_max=0)
     # The reduced models carry no cavity at all.
     params(Variant.BELL_EFFECTIVE, n_max=0)
+
+
+@pytest.mark.parametrize("g, message", [(0.0, "got 0.0"), (-1.0, "got -1.0")])
+def test_non_positive_coupling_rejected(g, message):
+    with pytest.raises(ValueError, match=f"^g must be positive, {message}$"):
+        params(Variant.BELL_FULL, g=g)
+
+
+@pytest.mark.parametrize("n_max", [2.5, -1])
+def test_n_max_must_be_a_non_negative_integer(n_max):
+    # The reduced variant, so that -1 meets this check and not the cavity one.
+    with pytest.raises(ValueError, match=f"^n_max must be a non-negative integer, got {n_max}$"):
+        params(Variant.BELL_EFFECTIVE, n_max=n_max)
+
+
+def test_non_hermitian_hamiltonian_rejected():
+    me = build_model(params(Variant.BELL_EFFECTIVE))
+    h = me.hamiltonian.copy()
+    h[0, 1] += 1.0
+    with pytest.raises(
+        ValueError, match=r"^hamiltonian hermiticity defect 1\.000e\+00 exceeds 1\.0e-12$"
+    ):
+        replace(me, hamiltonian=h)
+
+
+def test_collapse_operator_shape_must_match():
+    me = build_model(params(Variant.BELL_EFFECTIVE))
+    ops = (me.collapse_ops[0], np.zeros((4, 4)), *me.collapse_ops[2:])
+    with pytest.raises(ValueError, match=r"^collapse operator 1 shape \(4, 4\) != \(5, 5\)$"):
+        replace(me, collapse_ops=ops)
+
+
+def test_basis_label_count_must_match():
+    me = build_model(params(Variant.BELL_EFFECTIVE))
+    with pytest.raises(ValueError, match="^4 basis labels for dimension 5$"):
+        replace(me, basis_labels=me.basis_labels[:4])
+
+
+def test_named_state_must_be_normalized():
+    with pytest.raises(ValueError, match=r"^state 'S' has norm 1\.4142135623730951, expected 1$"):
+        NamedState("S", np.array([1.0, 1.0]))
+
+
+def test_atom_index_must_be_0_or_1():
+    with pytest.raises(ValueError, match="^atom must be 0 or 1, got 2$"):
+        atom_transition(0, 1, 2, 2)
+
+
+def test_reduced_variant_has_no_full_split():
+    with pytest.raises(ValueError, match="^variant bell_effective has no full-space split$"):
+        full_hamiltonian_split(params(Variant.BELL_EFFECTIVE))
 
 
 def test_variant_parsing_aliases():
