@@ -367,10 +367,10 @@ class RateFamily:
     Only the collapse operators depend on the two rates, each a fixed
     operator times sqrt(gamma/2) or sqrt(kappa).  The family builds the
     model once at unit factors and finds its parity frame once: the
-    symmetry check, the basis and blocks, the rotated Hamiltonian and the
-    blocks' index plan.  A point is a MasterEquationSpec with the family's
-    Hamiltonian and frame and its own scaled collapse operators, entry for
-    entry those of build_model at the same parameters.
+    symmetry check, the basis and blocks and the rotated Hamiltonian.  A
+    point is a MasterEquationSpec with the family's Hamiltonian and frame
+    and its own scaled collapse operators, entry for entry those of
+    build_model at the same parameters.
     """
 
     def __init__(self, base: ModelParams):
@@ -379,9 +379,6 @@ class RateFamily:
         # At gamma = 2 and kappa = 1 every factor is exactly 1.
         self.unit = build_model(replace(base, gamma=2.0, kappa=1.0))
         self.frame = self.unit.frame
-        # The frame's plan is built at its first read: here, once, so that
-        # every point, and every worker sent the family, reuses it.
-        self.frame.plan
 
     def at(self, params: ModelParams) -> MasterEquationSpec:
         """The model at params, which may differ from the family's in gamma and kappa only."""

@@ -1,11 +1,14 @@
-"""Dense operator algebra and superoperator construction.
+"""Operator algebra and superoperator construction.
 
-Everything in this package works on plain complex numpy arrays.  A square
-array of shape ``(dim, dim)`` is an operator on a ``dim``-dimensional Hilbert
-space; a ``(dim**2, dim**2)`` array is a superoperator acting on
-column-stacked density matrices.  The one exception is the generator of a
-large model, which sparse_hermitian_blocks assembles as scipy.sparse arrays
-in real Hermitian coordinates (below) without any dense array of its size.
+Operators are plain complex numpy arrays: a square array of shape
+``(dim, dim)`` is an operator on a ``dim``-dimensional Hilbert space; a
+``(dim**2, dim**2)`` array is a superoperator acting on column-stacked
+density matrices.  The Lindblad generator's entries are written in one
+place, _lindblad_terms, and assembled two ways: dense and complex by
+liouvillian, and as scipy.sparse blocks in real Hermitian coordinates
+(below) by sparse_hermitian_blocks, with no dense array of the generator's
+size.  evolve and the eigendecompositions take the sparse blocks at every
+size, and the steady-state solve above dim 27.
 
 Vectorization is column stacking throughout::
 
@@ -25,13 +28,12 @@ coordinates of Hermitian ``A`` and ``B``.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
-from scipy.sparse import csr_array, kron, vstack
+from scipy.sparse import csr_array, vstack
 
 # Shared tolerances.  Algebraic identities (projector algebra, hermiticity of
 # constructed operators) must hold to ALGEBRAIC_TOL; physical state properties
@@ -94,16 +96,42 @@ def expectation(obs, rho) -> float:
     return value.real
 
 
+def _lindblad_terms(h, collapse_ops):
+    """Yield ``(rows, cols, values)`` of the nonzeros of each Kronecker term of the generator.
+
+    The terms, in the order both assemblies sum them, are
+    ``kron(I, -i h_nh)``, ``kron(i conj(h_nh), I)`` and one
+    ``kron(conj(L_k), L_k)`` per channel, with
+    ``h_nh = h - (i/2) sum_k L_k^dag L_k``; entry ``(i*n + k, j*n + l)`` of
+    ``kron(a, b)`` is ``a[i, j] b[k, l]``, and distinct nonzero pairs of one
+    term land on distinct entries.  The products L_k^dag L_k are
+    blas_matmul's.
+    """
+    n = h.shape[0]
+    ops = [np.ascontiguousarray(c) for c in collapse_ops]
+    h_nh = h - 0.5j * sum(blas_matmul(np.ascontiguousarray(c.conj().T), c) for c in ops)
+    idx = np.arange(n)
+    rows, cols = np.nonzero(h_nh)
+    # kron(I, a): a's nonzeros repeated down the diagonal blocks.
+    yield ((idx[:, None] * n + rows).ravel(), (idx[:, None] * n + cols).ravel(),
+           np.tile(-1j * h_nh[rows, cols], n))
+    # kron(b, I): each nonzero of b as a diagonal of its block.
+    yield ((rows[:, None] * n + idx).ravel(), (cols[:, None] * n + idx).ravel(),
+           np.repeat(1j * h_nh.conj()[rows, cols], n))
+    for c in ops:
+        rows, cols = np.nonzero(c)
+        vals = c[rows, cols]
+        yield ((rows[:, None] * n + rows).ravel(), (cols[:, None] * n + cols).ravel(),
+               (vals.conj()[:, None] * vals).ravel())
+
+
 def liouvillian(h, collapse_ops=()) -> np.ndarray:
     """Matrix form of the Lindblad generator under column stacking.
 
     Maps ``rho`` to ``-i h_nh rho + i rho h_nh^dag + sum_k L_k rho L_k^dag``
     with ``h_nh = h - (i/2) sum_k L_k^dag L_k``, i.e. the sum
     ``kron(I, -i h_nh) + kron(i conj(h_nh), I) + sum_k kron(conj(L_k), L_k)``.
-    The terms are written straight into one zeroed result through its
-    4-index view ``s4[i, k, j, l] = sop[i*n + k, j*n + l]``: the identity
-    factors touch only ``n**3`` entries each, and each channel's product only
-    the pairs of its nonzeros.
+    Each term's nonzeros (_lindblad_terms) are added into one zeroed result.
     """
     h = _as_square(h, "hamiltonian")
     n = h.shape[0]
@@ -113,20 +141,9 @@ def liouvillian(h, collapse_ops=()) -> np.ndarray:
             raise ValueError(
                 f"collapse operator {k} has dim {c.shape[0]}, hamiltonian has {n}"
             )
-    h_nh = h - 0.5j * sum(c.conj().T @ c for c in ops)
     sop = np.zeros((n * n, n * n), dtype=complex)
-    s4 = sop.reshape(n, n, n, n)
-    idx = np.arange(n)
-    s4[idx, :, idx, :] = -1j * h_nh
-    s4[:, idx, :, idx] += 1j * h_nh.conj()
-    flat = sop.reshape(-1)
-    for c in ops:
-        rows, cols = np.nonzero(c)
-        vals = c[rows, cols]
-        # Entry (r1*n + r2, s1*n + s2) of the product is conj(c[r1, s1]) c[r2, s2];
-        # distinct nonzero pairs land on distinct entries.
-        target = ((rows[:, None] * n + rows) * n + cols[:, None]) * n + cols
-        flat[target.ravel()] += (vals.conj()[:, None] * vals).ravel()
+    for rows, cols, values in _lindblad_terms(h, ops):
+        sop.reshape(-1)[rows * n**2 + cols] += values
     return sop
 
 
@@ -171,32 +188,31 @@ def _hermitian_coordinates(dim: int):
     return np.arange(dim) * (dim + 1), i + j * dim, j + i * dim
 
 
-@dataclass(frozen=True)
-class BlockPlan:
-    """The index arrays hermitian_blocks reads with, for one dim and one set of blocks.
+def hermitian_blocks(liouv: np.ndarray, blocks) -> list:
+    """Diagonal blocks of the generator in real Hermitian coordinates, M = U^dag L U.
 
     A block is an ascending coordinate array whose Re and Im parts share
-    their pairs (parity_frame's); one of every coordinate is the whole
-    generator.  Per block, ``indices`` holds ``(re0, im0, diagonal, upper,
-    lower, rows)``: where its Re and Im coordinates start, the generator
-    columns of its diagonal coordinates and of its pairs' upper and lower
-    entries, and, as one column, the rows its equations hold once
-    hermitian_blocks has moved them (the diagonal ones, then the pairs').
-    Everything depends on dim and the blocks only, so one plan serves every
-    generator of one frame.
+    their pairs (parity_frame's), and the blocks cover every coordinate
+    once; one block of every coordinate is the whole generator.  M is real
+    because L maps Hermitian matrices to Hermitian ones; the equation for
+    rho_ji is the conjugate of the one for rho_ij, so only the rows for
+    i <= j and each block's own columns are read; in C order a block is
+    LAPACK's M^T.  The blocks are written over liouv, whose buffer they view
+    one after the other from its start, so the generator and its blocks
+    never take more than the generator's own memory.
     """
-
-    dim: int
-    blocks: tuple
-    indices: tuple
-
-
-def block_plan(dim: int, blocks) -> BlockPlan:
-    """The BlockPlan of blocks over the Hermitian coordinates of dimension dim."""
-    n = dim * dim
+    n = liouv.shape[0]
+    dim = math.isqrt(n)
+    if not liouv.flags.c_contiguous or liouv.dtype != complex:
+        raise ValueError("the generator must be a C-ordered complex128 array")
+    if not np.array_equal(np.sort(np.concatenate(blocks)), np.arange(n)):
+        raise ValueError(f"the blocks must cover the generator's {n} coordinates once")
     diag, upper, lower = _hermitian_coordinates(dim)
-    # The equations hermitian_blocks reads, rows j*dim .. j*dim + j for each
-    # j, in order; it moves them to the last rows.
+    # The equations read, rows j*dim .. j*dim + j for each j, in order, move
+    # to the last rows, the last run first, so that none lands on a row still
+    # to move.  The blocks then fill the buffer from its start, each row
+    # block of output no longer than the equations just read, and never reach
+    # an equation still to be read.
     eqs = np.sort(np.concatenate([diag, upper]))
     first = n - eqs.size
     # Blocks that end short of the first moved equation cannot reach one; the
@@ -205,63 +221,35 @@ def block_plan(dim: int, blocks) -> BlockPlan:
         raise ValueError("blocks this unequal do not fit beside the equations they read")
     row = np.empty(n, dtype=int)
     row[eqs] = np.arange(first, n)
-    indices = []
-    for idx in blocks:
-        re0 = int(np.searchsorted(idx, dim))
-        im0 = (re0 + idx.size) // 2
-        # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
-        pairs = idx[re0:im0] - dim
-        columns = diag[idx[:re0]], upper[pairs], lower[pairs]
-        # The rows as a column, so that rows[a:b] and a column array index
-        # the generator as np.ix_ would.
-        indices.append((re0, im0, *columns, row[np.concatenate(columns[:2])][:, None]))
-    return BlockPlan(dim, tuple(blocks), tuple(indices))
-
-
-def hermitian_blocks(liouv: np.ndarray, plan: BlockPlan) -> list:
-    """Diagonal blocks of the generator in real Hermitian coordinates, M = U^dag L U.
-
-    The blocks are plan's (see block_plan).  M is real because L maps
-    Hermitian matrices to Hermitian ones; the equation for rho_ji is the
-    conjugate of the one for rho_ij, so only the rows for i <= j and each
-    block's own columns are read; in C order a block is LAPACK's M^T.  The
-    blocks are written over liouv, whose buffer they view one after the
-    other from its start, so the generator and its blocks never take more
-    than the generator's own memory.
-    """
-    n = liouv.shape[0]
-    dim = plan.dim
-    if not liouv.flags.c_contiguous or liouv.dtype != complex:
-        raise ValueError("the generator must be a C-ordered complex128 array")
-    if liouv.shape != (dim * dim, dim * dim):
-        raise ValueError(f"generator of shape {liouv.shape} for a plan of dimension {dim}")
-    # The equations read, rows j*dim .. j*dim + j for each j, move in order
-    # to the last rows, the last run first, so that none lands on a row still
-    # to move.  The blocks then fill the buffer from its start, each row
-    # block of output no longer than the equations just read, and never reach
-    # an equation still to be read.
-    first = n - dim * (dim + 1) // 2
     for j in range(dim - 1, -1, -1):
         at = first + j * (j + 1) // 2
         liouv[at : at + j + 1] = liouv[j * dim : j * dim + j + 1]
     buffer = liouv.view(float).reshape(-1)
     parts, start = [], 0
-    for idx, (re0, im0, diag, upper, lower, rows) in zip(plan.blocks, plan.indices):
+    for idx in blocks:
+        re0 = int(np.searchsorted(idx, dim))
+        im0 = (re0 + idx.size) // 2
+        # The Re coordinates idx[re0:im0] are their pair numbers plus dim.
+        pairs = idx[re0:im0] - dim
+        diag_cols, upper_cols, lower_cols = diag[idx[:re0]], upper[pairs], lower[pairs]
+        # The rows its equations hold once moved, as a column, so that
+        # rows[a:b] and a column array index the generator as np.ix_ would.
+        rows = row[np.concatenate([diag_cols, upper_cols])][:, None]
         part = buffer[start : start + idx.size**2].reshape(idx.size, idx.size)
         start += idx.size**2
         # The diagonal equations (k < 0), then the pairs', at most dim at a time.
         for k in range(-dim, im0 - re0, dim):
             eq = slice(k, k + dim)
-            eqs = rows[:re0] if k < 0 else rows[re0:][eq]
+            eq_rows = rows[:re0] if k < 0 else rows[re0:][eq]
             # Columns of L U: xd, (xu + xl)/sqrt2 and i (xu - xl)/sqrt2.  xd is
             # gathered once xl is gone, and the blocks go before the next chunk
             # gathers its own, so at most three are alive at once.
-            xu = liouv[eqs, upper]
-            xl = liouv[eqs, lower]
+            xu = liouv[eq_rows, upper_cols]
+            xl = liouv[eq_rows, lower_cols]
             xs = xu + xl
             xu -= xl
             del xl
-            xd = liouv[eqs, diag]
+            xd = liouv[eq_rows, diag_cols]
             if k < 0:
                 part[:re0, :re0] = xd.real
                 part[:re0, re0:im0] = xs.real / _SQRT2
@@ -283,26 +271,41 @@ def sparse_hermitian_blocks(h, collapse_ops, blocks) -> list:
     """hermitian_blocks' blocks of the generator of h and collapse_ops, assembled sparse.
 
     Each block is a scipy.sparse CSR array of M = U^dag L U over its
-    coordinates, blocks being ascending coordinate arrays as in block_plan.
-    L is liouvillian's Kronecker sum, built sparse, and only its equations
-    for rho_ij, i <= j, are kept; the coordinate map U, at most two nonzeros
-    per column, takes them into real Hermitian coordinates, whose rows are
-    the diagonal equations' real parts and sqrt2 Re and sqrt2 Im of the
-    pairs'.  No dense array of the generator's size is built, and every
-    product is sparse.
+    coordinates, blocks being ascending coordinate arrays as in
+    hermitian_blocks.  Of each of L's terms (_lindblad_terms) only the
+    equations for rho_ij, i <= j, are kept, and summed in the terms' order
+    into one CSR array; the coordinate map U, at most two nonzeros per
+    column, takes them into real Hermitian coordinates, whose rows are the
+    diagonal equations' real parts and sqrt2 Re and sqrt2 Im of the pairs'.
+    No dense array of the generator's size is built, and every product with
+    the generator is sparse.
     """
     dim = h.shape[0]
-    ops = [csr_array(c) for c in collapse_ops]
-    decay = sum((c.conj().T @ c for c in ops), csr_array((dim, dim), dtype=complex))
-    h_nh = csr_array(h) - 0.5j * decay
-    eye = csr_array(np.eye(dim))
-    liouv = kron(eye, -1j * h_nh, format="csr") + kron(1j * h_nh.conj(), eye, format="csr")
-    for c in ops:
-        liouv += kron(c.conj(), c, format="csr")
+    n = dim * dim
+    diag, upper, lower = _hermitian_coordinates(dim)
+    # The equation each generator row holds: the diagonal ones, then the
+    # pairs', as in the Hermitian coordinates; -1 for the rows left out.
+    equation = np.full(n, -1)
+    equation[np.concatenate([diag, upper])] = np.arange(dim + upper.size)
+    keys, values = [], []
+    for rows, cols, vals in _lindblad_terms(h, collapse_ops):
+        eq = equation[rows]
+        kept = eq >= 0
+        keys.append(eq[kept] * n + cols[kept])
+        values.append(vals[kept])
+    # Each entry sums its terms in their order, and entries that sum to an
+    # exact zero are left out.
+    entries, where = np.unique(np.concatenate(keys), return_inverse=True)
+    del keys
+    data = np.zeros(entries.size, dtype=complex)
+    np.add.at(data, where, np.concatenate(values))
+    del values, where
+    entries, data = entries[data != 0], data[data != 0]
+    liouv = csr_array((data, np.divmod(entries, n)), shape=(dim + upper.size, n))
+    del entries, data
     # Column c of U is the column-stacked Hermitian matrix with coordinates
     # e_c: e_d for a diagonal coordinate, (e_u + e_l)/sqrt2 for a pair's Re
     # coordinate and i (e_u - e_l)/sqrt2 for its Im one.
-    diag, upper, lower = _hermitian_coordinates(dim)
     pairs = upper.size
     re = np.arange(dim, dim + pairs)
     im = re + pairs
@@ -313,9 +316,13 @@ def sparse_hermitian_blocks(h, collapse_ops, blocks) -> list:
         [np.ones(dim), np.full(2 * pairs, half), np.full(pairs, 1j * half),
          np.full(pairs, -1j * half)]
     )
-    coordinate_map = csr_array((values, (rows, cols)), shape=(dim * dim, dim * dim))
-    eqs = liouv[np.concatenate([diag, upper])] @ coordinate_map
-    real = vstack([eqs[:dim].real, _SQRT2 * eqs[dim:].real, _SQRT2 * eqs[dim:].imag], format="csr")
+    coordinate_map = csr_array((values, (rows, cols)), shape=(n, n))
+    eqs = liouv @ coordinate_map
+    del liouv, coordinate_map
+    parts = [eqs[:dim].real, _SQRT2 * eqs[dim:].real, _SQRT2 * eqs[dim:].imag]
+    del eqs
+    real = vstack(parts, format="csr")
+    del parts
     # Entries whose real or imaginary part alone is nonzero leave explicit zeros.
     real.eliminate_zeros()
     return [real[idx][:, idx] for idx in blocks]
@@ -399,15 +406,6 @@ class Frame:
     hamiltonian: np.ndarray
     blocks: tuple
     rotation: tuple | None
-
-    @functools.cached_property
-    def plan(self) -> BlockPlan:
-        """The blocks' BlockPlan, built at the first read.
-
-        A solve reads it after assembling the generator, so a frame built
-        for one solve holds no plan through the assembly.
-        """
-        return block_plan(self.hamiltonian.shape[0], self.blocks)
 
     def rotate(self, op) -> np.ndarray:
         """op in the frame's basis, as parity_frame rotates the Hamiltonian."""

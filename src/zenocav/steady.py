@@ -14,12 +14,12 @@ blocks are dense, written over the dense complex generator, and LAPACK
 factors them; above it they are under 1% nonzero, so they are assembled
 sparse straight from the operators, with no complex generator (at
 n_max = 10 it would take 1.5 GB), and SuperLU factors them in its symmetric
-mode, their pattern being nearly symmetric, refining every solve once.  That
-frame (the symmetry check, the basis and blocks, the rotated
-Hamiltonian and the blocks' index plan) is the one the model carries,
-MasterEquationSpec.frame: found once for every point of a RateFamily, and
-at each solve for any other model; a solve rotates only its own collapse
-operators into it.  A reciprocal-condition estimate on the factorizations
+mode, their pattern being nearly symmetric, refining every solve once.  The
+eigendecompositions take the sparse blocks made dense at every size.  The
+frame (the symmetry check, the basis and blocks and the rotated
+Hamiltonian) is the one the model carries, MasterEquationSpec.frame: found
+once for every point of a RateFamily, and at each solve for any other
+model; a solve rotates only its own collapse operators into it.  A reciprocal-condition estimate on the factorizations
 flags degenerate generators without paying for an eigendecomposition at
 every call; the residual is always checked in operator form on the model's
 own Hamiltonian and collapse operators.  Every threaded BLAS or LAPACK call
@@ -252,17 +252,14 @@ def _real_blocks(me: MasterEquationSpec):
     operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
     if me.dim**2 > SPARSE_ABOVE:
         return frame, sparse_hermitian_blocks(*operators, frame.blocks)
-    return frame, hermitian_blocks(liouvillian(*operators), frame.plan)
+    return frame, hermitian_blocks(liouvillian(*operators), frame.blocks)
 
 
 def _dense_blocks(me: MasterEquationSpec) -> list:
-    """The real blocks as dense arrays, for the eigendecompositions.
-
-    They are built again, since the factors overwrote the dense ones; the
-    sparse ones are made dense.
-    """
-    _, parts = _real_blocks(me)
-    return [part.toarray() if issparse(part) else part for part in parts]
+    """The real blocks, assembled sparse and made dense, for the eigendecompositions."""
+    frame = me.frame
+    operators = frame.hamiltonian, [frame.rotate(c) for c in me.collapse_ops]
+    return [part.toarray() for part in sparse_hermitian_blocks(*operators, frame.blocks)]
 
 
 def _nullspace_count(spectra, parts) -> int:

@@ -140,6 +140,7 @@ def test_evolve_needs_run_section(capsys):
         ("dt=0", "dt must be positive"),
         ("sample_stride=0", "sample_stride must be >= 1"),
         ("initial_state=", "initial_state is empty"),
+        ("initial_state=g00:0.5 zz:0.5", "unknown state label 'zz'"),
     ],
 )
 def test_evolve_rejects_bad_run_overrides(tmp_path, capsys, assignment, message):
@@ -239,9 +240,12 @@ def test_sweep_rejects_reduced_variant(tmp_path, capsys):
         (["--workers", "0"], "workers"),
         (["--c-list", "-1"], "-1"),
         (["--gamma-range", "0:0.2:2"], "gamma must be positive"),
+        (["--gamma-range", "0.3:0.01:3"], "invalid range '0.3:0.01:3'"),
+        (["--kappa-range", "0.1:0.3:0"], "invalid range '0.1:0.3:0'"),
         (["--set", "variant=bell_effective"], "full variant"),
     ],
-    ids=["state", "workers", "c-list", "gamma-range", "variant"],
+    ids=["state", "workers", "c-list", "gamma-range", "range-descending", "range-count-0",
+         "variant"],
 )
 def test_sweep_config_mistakes_exit_before_solving(tmp_path, capsys, extra, message):
     cfg = write_cfg(tmp_path, "scan.cfg", variant="bell_full", kappa=0.3)

@@ -117,6 +117,7 @@ def test_rejected_configs(line, fragment):
         ("t_end", "-1", "t_end must be non-negative"),
         ("dt", "0", "dt must be positive"),
         ("sample_stride", "0", "sample_stride must be >= 1"),
+        ("initial_state", "g00:0.5 zz:0.5", "unknown state label 'zz'"),
     ],
 )
 def test_run_value_errors_name_their_line(key, value, message):

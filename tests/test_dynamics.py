@@ -145,18 +145,19 @@ def test_evolve_builds_no_complex_generator(monkeypatch, preset):
 @pytest.mark.parametrize(
     "preset, t_end, stride, calls",
     [
-        # Per block: the 3 squarings of the stride propagator exp(M) (its
-        # Taylor products are sparse), 15 baby-step rows, 4 squarings for
-        # P^16 and the grid (gemm), and one state product (gemv) for each
-        # of the 8 lead strides and the 2 giant steps; fig1c has two
-        # blocks, and its final state takes two products back out of the
-        # parity basis.
-        pytest.param("fig1c", 40.0, 500, {"gemm": 48, "gemv": 20}, id="fig1c"),
-        # One block: the stride propagator exp(1.4 M) (4 squarings), 15
-        # rows, P^16 (4) and the grid; 12 lead strides and 1 giant step;
-        # then the rest and the remainder interval act on the final state by
-        # sparse products only, and each is read by one gemv.
-        pytest.param("fig4c", 40.001, 700, {"gemm": 24, "gemv": 15}, id="fig4c-rest-remainder"),
+        # The assembly takes one L^dag L (gemm) for each of the 5 collapse
+        # operators.  Per block: the 3 squarings of the stride propagator
+        # exp(M) (its Taylor products are sparse), 15 baby-step rows, 4
+        # squarings for P^16 and the grid (gemm), and one state product
+        # (gemv) for each of the 8 lead strides and the 2 giant steps;
+        # fig1c has two blocks, and its final state takes two products back
+        # out of the parity basis.
+        pytest.param("fig1c", 40.0, 500, {"gemm": 53, "gemv": 20}, id="fig1c"),
+        # The 5 L^dag L; one block: the stride propagator exp(1.4 M) (4
+        # squarings), 15 rows, P^16 (4) and the grid; 12 lead strides and 1
+        # giant step; then the rest and the remainder interval act on the
+        # final state by sparse products only, and each is read by one gemv.
+        pytest.param("fig4c", 40.001, 700, {"gemm": 29, "gemv": 15}, id="fig4c-rest-remainder"),
     ],
 )
 def test_evolve_products_run_on_scipy_blas(monkeypatch, preset, t_end, stride, calls):
@@ -482,10 +483,10 @@ def test_non_finite_generator_is_named():
     # that, so the error names the generator, before any propagator.
     decay = np.array([[0.0, 1.0], [0.0, 0.0]])
     me = toy_model(np.diag([1e308, -1e308]), [decay])
-    # The entries overflow in scipy.sparse's compiled sums, which warn of
-    # nothing.
+    # The entries overflow in the assembly's sums, which numpy warns of.
     with pytest.raises(IntegrationError, match="generator entries are not finite"):
-        evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
+        with pytest.warns(RuntimeWarning, match="overflow"):
+            evolve(me, P1.astype(complex), 1.0, 0.01, [("P1", P1)])
 
 
 @st.composite

@@ -16,7 +16,6 @@ from zenocav import (
 )
 from zenocav.models import Variant
 from zenocav.operators import (
-    block_plan,
     devectorize,
     expectation,
     from_hermitian,
@@ -338,7 +337,7 @@ def test_hermitian_generator_acts_as_the_generator(system):
     herm = x + x.conj().T
     scale = 1.0 + np.abs(h).sum() + sum(np.abs(c).sum() ** 2 for c in collapse_ops)
     direct = to_hermitian(devectorize(sop @ vectorize(herm)))
-    (generator,) = hermitian_blocks(sop, block_plan(h.shape[0], [np.arange(sop.shape[0])]))
+    (generator,) = hermitian_blocks(sop, [np.arange(sop.shape[0])])
     real = generator @ to_hermitian(herm)
     assert np.max(np.abs(real - direct)) <= 1e-12 * scale * (1.0 + np.abs(herm).max())
 
@@ -353,12 +352,31 @@ def test_sparse_blocks_match_hermitian_blocks(me):
     collapse_ops = [frame.rotate(c) for c in me.collapse_ops]
     scale = np.abs(h).max() + sum(np.abs(c).max() ** 2 for c in collapse_ops)
     for split in (frame.blocks, (np.arange(me.dim**2),)):
-        dense = hermitian_blocks(liouvillian(h, collapse_ops), block_plan(me.dim, split))
+        dense = hermitian_blocks(liouvillian(h, collapse_ops), split)
         sparse = sparse_hermitian_blocks(h, collapse_ops, split)
         assert len(sparse) == len(split)
         for part, block in zip(sparse, dense):
             assert part.format == "csr" and part.dtype == np.float64
             assert np.max(np.abs(part.toarray() - block), initial=0.0) <= 1e-14 * scale
+
+
+@pytest.mark.parametrize("preset", ["preset1", "preset2", "preset3"])
+@pytest.mark.parametrize("variant", [Variant.BELL_FULL, Variant.KLM_FULL])
+def test_sparse_assembly_memory_peak(preset, variant):
+    # At n_max = 5 the assembly peaks at about 5.1-5.5 times the bytes of
+    # the blocks it returns (0.47 MiB at preset2 bell_full): the terms are
+    # dropped before the coordinate-map product, and the complex equations
+    # before the real parts are stacked.  Holding every intermediate to the
+    # end peaks at 9.5-10.2, and summing scipy.sparse Kronecker products of
+    # the terms at 6.9-7.4.
+    me = build_model(replace(resolve_config(preset).params.with_variant(variant), n_max=5))
+    frame = me.frame
+    collapse_ops = [frame.rotate(c) for c in me.collapse_ops]
+    blocks, peak = traced_peak(
+        sparse_hermitian_blocks, frame.hamiltonian, collapse_ops, frame.blocks
+    )
+    nbytes = sum(b.data.nbytes + b.indices.nbytes + b.indptr.nbytes for b in blocks)
+    assert peak <= 6.0 * nbytes
 
 
 @given(symmetric_open_systems())
@@ -381,7 +399,7 @@ def test_hermitian_blocks_match_the_generator_column_by_column(me):
     for split in (blocks, (np.arange(n2),)):
         # The blocks are written over the generator they are given.
         generator = sop.copy()
-        parts = hermitian_blocks(generator, block_plan(me.dim, split))
+        parts = hermitian_blocks(generator, split)
         assert [part.shape for part in parts] == [(idx.size, idx.size) for idx in split]
         for idx, part in zip(split, parts):
             assert part.flags.c_contiguous
@@ -396,17 +414,18 @@ def test_hermitian_blocks_refuses_what_it_cannot_build_in_place(rng):
     # dim 4: 16 coordinates, 6 pairs.  Splitting off one pair (its Re and Im
     # coordinates 4 and 10) leaves blocks of 14 and 2, 200 entries, more than
     # the 192 in front of the equations that are read; a generator that is
-    # not one C-ordered complex buffer has no such front, and a plan for
-    # another dimension does not fit.
+    # not one C-ordered complex buffer has no such front, and blocks must
+    # cover the generator's coordinates, each once.
     h = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
     sop = liouvillian(h + h.conj().T, [rng.normal(size=(4, 4))])
     lone = np.array([4, 10])
     with pytest.raises(ValueError, match="unequal"):
-        hermitian_blocks(sop.copy(), block_plan(4, (np.setdiff1d(np.arange(16), lone), lone)))
+        hermitian_blocks(sop.copy(), (np.setdiff1d(np.arange(16), lone), lone))
     with pytest.raises(ValueError, match="C-ordered complex128"):
-        hermitian_blocks(np.asfortranarray(sop), block_plan(4, (np.arange(16),)))
-    with pytest.raises(ValueError, match="plan of dimension 3"):
-        hermitian_blocks(sop.copy(), block_plan(3, (np.arange(9),)))
+        hermitian_blocks(np.asfortranarray(sop), (np.arange(16),))
+    for blocks in ((np.arange(9),), (np.arange(16), lone)):
+        with pytest.raises(ValueError, match="cover the generator's 16 coordinates once"):
+            hermitian_blocks(sop.copy(), blocks)
 
 
 @pytest.mark.parametrize(

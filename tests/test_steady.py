@@ -134,15 +134,18 @@ def test_nullspace_of_unique_case():
 
 
 def test_nullspace_dimension_decomposes_each_real_block(monkeypatch):
-    # One assembly and one real eigenvalue decomposition per parity block, as
-    # on the eigenvector fallback; no decomposition of the complex generator.
+    # One sparse assembly and one real eigenvalue decomposition per parity
+    # block, as on the eigenvector fallback; no complex generator is built or
+    # decomposed.
     me = build_model(resolve_config("fig3").params)
-    calls = {"liouvillian": [], "eig": [], "eigvals": []}
+    calls = {"liouvillian": [], "sparse_hermitian_blocks": [], "eig": [], "eigvals": []}
     counting(monkeypatch, steady_mod, "liouvillian", calls["liouvillian"])
+    counting(monkeypatch, steady_mod, "sparse_hermitian_blocks", calls["sparse_hermitian_blocks"])
     counting(monkeypatch, scipy.linalg, "eig", calls["eig"])
     counting(monkeypatch, scipy.linalg, "eigvals", calls["eigvals"])
     assert nullspace_dimension(me) == 1
-    assert len(calls["liouvillian"]) == 1 and calls["eig"] == []
+    assert calls["liouvillian"] == [] and calls["eig"] == []
+    assert len(calls["sparse_hermitian_blocks"]) == 1
     systems = [args[0] for args in calls["eigvals"]]
     assert [system.shape for system in systems] == [(369, 369), (360, 360)]
     assert all(system.dtype == np.float64 for system in systems)
@@ -247,16 +250,19 @@ def counting(monkeypatch, owner, name, calls):
 
 def test_eigenvector_fallback_decomposes_once(monkeypatch):
     # The fallback counts the nullspace and picks the state from one eig of
-    # the generator.  The factors overwrite the blocks and the complex
-    # generator is freed before them, so the fallback assembles it again.
+    # the generator.  The factors overwrite the dense blocks, so the
+    # fallback assembles the blocks again, sparse, and makes them dense.
     me = damping_model(1e-15)
     expected = steady_state(me)
-    calls = {"liouvillian": [], "eig": [], "eigvals": []}
+    calls = {"liouvillian": [], "sparse_hermitian_blocks": [], "eig": [], "eigvals": []}
     counting(monkeypatch, steady_mod, "liouvillian", calls["liouvillian"])
+    counting(monkeypatch, steady_mod, "sparse_hermitian_blocks", calls["sparse_hermitian_blocks"])
     counting(monkeypatch, scipy.linalg, "eig", calls["eig"])
     counting(monkeypatch, scipy.linalg, "eigvals", calls["eigvals"])
     result = steady_state(me)
-    assert {k: len(v) for k, v in calls.items()} == {"liouvillian": 2, "eig": 1, "eigvals": 0}
+    assert {k: len(v) for k, v in calls.items()} == {
+        "liouvillian": 1, "sparse_hermitian_blocks": 1, "eig": 1, "eigvals": 0
+    }
     assert result.method == expected.method == "eigenvector"
     assert result.nullspace_dimension == expected.nullspace_dimension == 1
     assert np.array_equal(result.rho, expected.rho)
@@ -333,10 +339,11 @@ def test_solve_products_run_on_scipy_blas(monkeypatch):
     count_blas_calls(monkeypatch, seen)
     result = steady_state(me)
     assert result.blocks == (2592, 2592)
-    # Two products rotate back, one rebuilds the state from its clipped
-    # eigenvalues, and the residual takes two for the Hamiltonian and five
-    # for each of the five collapse operators.
-    assert seen == {"gemm": 2 + int(result.clip_magnitude > 0) + 2 + 5 * 5}
+    # The assembly takes one L^dag L for each of the five collapse
+    # operators, two products rotate back, one rebuilds the state from its
+    # clipped eigenvalues, and the residual takes two for the Hamiltonian
+    # and five for each collapse operator.
+    assert seen == {"gemm": 5 + 2 + int(result.clip_magnitude > 0) + 2 + 5 * 5}
 
 
 @pytest.mark.parametrize(

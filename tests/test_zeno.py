@@ -188,6 +188,14 @@ def test_project_dissipators_rejects_bad_basis():
     skewed = np.array([[1.0, 1.0], [0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError, match="orthonormal"):
         project_dissipators([np.eye(3)], projector, skewed)
+    with pytest.raises(ValueError, match="subspace basis must be a matrix of column vectors"):
+        project_dissipators([np.eye(3)], projector, np.array([1.0, 0.0, 0.0]))
+
+
+def test_project_dissipators_rejects_non_idempotent_projector():
+    basis = np.array([[1.0], [0.0], [0.0]])
+    with pytest.raises(ValueError, match="zero projector is not idempotent"):
+        project_dissipators([np.eye(3)], 2.0 * np.eye(3), basis)
 
 
 def test_project_dissipators_rejects_outside_basis():
