@@ -91,14 +91,19 @@ def cmd_evolve(args) -> int:
     run = config.require_run()
     params = config.params
     rho0 = initial_density_matrix(run.initial_state, params)
-    traj = evolve(
-        me,
-        rho0,
-        run.t_end,
-        run.dt,
-        _observables(params),
-        sample_stride=run.sample_stride,
-    )
+    try:
+        # The run values are each valid; evolve refuses a schedule of them
+        # too long to record.
+        traj = evolve(
+            me,
+            rho0,
+            run.t_end,
+            run.dt,
+            _observables(params),
+            sample_stride=run.sample_stride,
+        )
+    except ValueError as exc:
+        raise ConfigError(str(exc), config.origin) from None
     out = _default_output(args, "_trajectory.csv")
     traj.to_csv(out)
     for label in traj.labels:
@@ -351,3 +356,7 @@ def main(argv=None) -> int:
 
 def entry() -> None:
     sys.exit(main())
+
+
+if __name__ == "__main__":
+    entry()

@@ -74,6 +74,13 @@ TAYLOR_THETA = 1.09
 # each).  At dim 27 on two cores evolve takes the same time from 8 to 32
 # and more above, where the squarings dominate.
 BABY_STEPS = 16
+# evolve refuses a schedule whose times and records, 8 bytes a value, would
+# take more than this: at most 1,677,721 samples of the CLI's four
+# observables.  The schedule is checked before anything is built.  The
+# propagation holds more besides, its giant-step states (n/BABY_STEPS
+# doubles a sample, n the block's coordinate count): about nine times the
+# records at fig4c.
+MAX_RECORD_BYTES = 2**26
 
 
 class IntegrationError(RuntimeError):
@@ -247,9 +254,9 @@ def evolve(
     The state is propagated in real Hermitian coordinates, so every record
     is real, and in the parity basis of the model's symmetry when that holds
     on its operators, one block of coordinates at a time; the final state is
-    rotated back.  The frame is the one me carries (see
-    MasterEquationSpec.frame); only the collapse operators, the observables
-    and the initial state are rotated here.  Each block's generator is
+    rotated back by the same signed half-sums (Frame.rotate).  The frame is
+    the one me carries (see MasterEquationSpec.frame); only the collapse
+    operators, the observables and the initial state are rotated here.  Each block's generator is
     assembled sparse from the operators, and no complex generator is built
     (see operators.sparse_hermitian_blocks).  Its propagator over one stride
     is a scaled Taylor exponential (see _exponential), and the samples one
@@ -278,6 +285,33 @@ def evolve(
     if sample_stride < 1:
         raise ValueError(f"sample_stride must be >= 1, got {sample_stride}")
 
+    # The sample schedule, in units of dt: the samples are count strides
+    # apart, then rest units when the stride does not divide n_steps, then a
+    # remainder interval when dt does not divide t_end.  Its length is
+    # counted in integers, and checked before any of it is built.
+    ratio = t_end / dt
+    samples = math.inf
+    if math.isfinite(ratio):
+        n_steps = math.floor(ratio + 1e-12)
+        remainder = t_end - n_steps * dt
+        tail = not remainder < 1e-12 * max(1.0, abs(t_end))
+        samples = -(-n_steps // sample_stride) + 1 + tail
+    cap = MAX_RECORD_BYTES // (8 * (1 + len(observables)))
+    if samples > cap:
+        raise ValueError(
+            f"t_end={t_end!r}, dt={dt!r} and sample_stride={sample_stride} give "
+            f"{samples:.10g} samples; evolve records at most {cap} of {len(observables)} "
+            f"observables, whose times and records fit in {MAX_RECORD_BYTES} bytes"
+        )
+    times = [m * dt for m in (*range(0, n_steps, sample_stride), n_steps)]
+    if tail:
+        times.append(t_end)
+    else:
+        times[-1] = t_end
+        remainder = 0.0
+    stride = min(sample_stride, n_steps)
+    count, rest = divmod(n_steps, stride) if n_steps else (0, 0)
+
     frame = me.frame
 
     labels = []
@@ -296,20 +330,6 @@ def evolve(
         labels.append(label)
         readout.append(to_hermitian(frame.rotate(op)))
     readout = np.array(readout)
-
-    # The sample schedule, in units of dt: the samples are count strides
-    # apart, then rest units when the stride does not divide n_steps, then a
-    # remainder interval when dt does not divide t_end.
-    n_steps = int(np.floor(t_end / dt + 1e-12))
-    remainder = t_end - n_steps * dt
-    times = [m * dt for m in (*range(0, n_steps, sample_stride), n_steps)]
-    if remainder < 1e-12 * max(1.0, abs(t_end)):
-        times[-1] = t_end
-        remainder = 0.0
-    else:
-        times.append(t_end)
-    stride = min(sample_stride, n_steps)
-    count, rest = divmod(n_steps, stride) if n_steps else (0, 0)
 
     # Each block's coordinates advance in place; the blocks never mix, so a
     # block that starts at exactly zero stays there and reads zero, and only
@@ -344,7 +364,7 @@ def evolve(
                     f"population {labels[k]!r} = {float(row[k + 1])!r} out of range at t={t:g}"
                 )
 
-    final_state = frame.rotate_back(from_hermitian(x))
+    final_state = frame.rotate(from_hermitian(x))
     # The rotation leaves a rounding-sized anti-Hermitian part.
     final_state = (final_state + final_state.conj().T) / 2.0
     return Trajectory(

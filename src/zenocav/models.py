@@ -191,7 +191,7 @@ class MasterEquationSpec:
 
     @property
     def frame(self) -> Frame:
-        """The parity frame the solvers work in.
+        """The parity frame the solvers work in (see operators.parity_frame).
 
         A RateFamily point carries its family's, found once for every point;
         any other spec runs parity_frame on its own operators at each read,
@@ -367,7 +367,7 @@ class RateFamily:
     Only the collapse operators depend on the two rates, each a fixed
     operator times sqrt(gamma/2) or sqrt(kappa).  The family builds the
     model once at unit factors and finds its parity frame once: the
-    symmetry check, the basis and blocks and the rotated Hamiltonian.  A
+    symmetry check, the rotation and blocks and the rotated Hamiltonian.  A
     point is a MasterEquationSpec with the family's Hamiltonian and frame
     and its own scaled collapse operators, entry for entry those of
     build_model at the same parameters.

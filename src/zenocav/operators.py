@@ -29,7 +29,7 @@ coordinates of Hermitian ``A`` and ``B``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import get_blas_funcs
@@ -351,15 +351,18 @@ def parity_blocks(perm, sign):
     """Parity basis of a signed basis involution and its two coordinate blocks.
 
     ``U|k> = sign[k] |perm[k]>`` must square to the identity: perm an
-    involution and ``sign[k] sign[perm[k]] = 1``.  Returns ``(basis, even,
-    odd)``.  basis is real orthogonal; its rows are ``e_k`` for the states U
-    fixes (parity ``sign[k]``) and, for each pair ``k < perm[k]``,
-    ``(e_k + sign[k] e_perm[k])/sqrt2`` in row k (parity +1) and
-    ``(e_k - sign[k] e_perm[k])/sqrt2`` in row perm[k] (parity -1).  even and
-    odd are the ascending Hermitian coordinates of ``basis rho basis^T``
+    involution and ``sign[k] sign[perm[k]] = 1``.  Returns ``(rotation,
+    even, odd)``.  rotation is ``(perm, diag, off, weight)``: row r of the
+    parity basis B is ``(diag[r] e_r + off[r] e_perm[r])/sqrt(weight[r])``,
+    that is ``e_k`` for a state U fixes (parity ``sign[k]``) and, for each
+    pair ``a < b = perm[a]`` with ``s = sign[a]``, ``(e_a + s e_b)/sqrt2``
+    in row a (parity +1) and ``(s e_a - e_b)/sqrt2`` in row b (parity -1).
+    B is real, orthogonal and symmetric, so it is its own inverse, and
+    ``B op B`` (Frame.rotate) takes op into the frame and back out of it.
+    even and odd are the ascending Hermitian coordinates of ``B rho B``
     whose entry ``rho_ij`` has ``p_i p_j = +1`` (every diagonal entry, so
-    even starts with them) and ``-1``.  A generator commuting with ``U . U^dag``
-    never couples the two sets.
+    even starts with them) and ``-1``.  A generator commuting with
+    ``U . U^dag`` never couples the two sets.
     """
     perm = np.asarray(perm, dtype=int)
     sign = np.asarray(sign, dtype=float)
@@ -372,83 +375,49 @@ def parity_blocks(perm, sign):
         or not np.array_equal(sign * sign[perm], np.ones(dim))
     ):
         raise ValueError("symmetry must be a signed basis permutation that squares to the identity")
-    basis = np.zeros((dim, dim))
-    parity = sign.copy()
-    fixed = k[perm == k]
-    basis[fixed, fixed] = 1.0
-    lo = k[perm > k]
-    hi = perm[lo]
-    basis[lo, lo] = basis[hi, lo] = 1.0 / _SQRT2
-    basis[lo, hi] = sign[lo] / _SQRT2
-    basis[hi, hi] = -sign[lo] / _SQRT2
-    parity[lo] = 1.0
-    parity[hi] = -1.0
+    fixed = perm == k
+    diag = np.where(perm < k, -1.0, 1.0)
+    off = np.where(fixed, 0.0, sign[np.minimum(k, perm)])
+    parity = np.where(fixed, sign, diag)
     # Pairs in the order of _hermitian_coordinates; Re and Im share a parity.
     j, i = np.tril_indices(dim, -1)
     pair = parity[i] * parity[j]
     coords = np.concatenate([np.ones(dim), pair, pair])
-    return basis, np.flatnonzero(coords > 0), np.flatnonzero(coords < 0)
+    rotation = perm, diag, off, np.where(fixed, 1.0, 2.0)
+    return rotation, np.flatnonzero(coords > 0), np.flatnonzero(coords < 0)
 
 
 @dataclass(frozen=True)
 class Frame:
     """The frame a solver works in, as parity_frame finds it.
 
-    basis is the real orthogonal matrix whose rows span a parity frame, or
-    None for the one-block frame, which is the model's own basis;
-    hamiltonian the Hamiltonian in it (a parity frame's less its trace
-    part, which no generator sees) and blocks its coordinate blocks.
-    rotation is the _parity_rotation of the symmetry that held, or None for
-    the one-block frame.
+    hamiltonian is the Hamiltonian in the frame (a parity frame's less its
+    trace part, which no generator sees) and blocks its coordinate blocks.
+    rotation is the parity_blocks rotation of the symmetry that held, or
+    None for the one-block frame, which is the model's own basis.
     """
 
-    basis: np.ndarray | None
     hamiltonian: np.ndarray
     blocks: tuple
     rotation: tuple | None
 
     def rotate(self, op) -> np.ndarray:
-        """op in the frame's basis, as parity_frame rotates the Hamiltonian."""
-        return op if self.rotation is None else _in_parity_basis(op, self.rotation)
+        """``B op B`` for the frame's parity basis B, as signed half-sums: op in the frame.
 
-    def rotate_back(self, op) -> np.ndarray:
-        """op from the frame's basis back into the model's, ``basis^T @ op @ basis``.
-
-        The products are blas_matmul's, on the basis made complex.
+        B is its own inverse, so the same call takes an operator in the
+        frame back into the model's basis; the one-block frame hands op back
+        as it is.  Each entry is an entry of op, ``(+-op[k, a] +- op[k, b])/sqrt2``
+        with one index fixed, or ``(+-op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2``
+        with none.  A multiple of the identity stays exact, and no dim^3
+        product is taken.
         """
         if self.rotation is None:
             return op
-        basis = self.basis.astype(complex)
-        return blas_matmul(blas_matmul(basis.T.copy(), np.ascontiguousarray(op)), basis)
-
-
-def _parity_rotation(perm, sign):
-    """What _in_parity_basis needs of a signed involution: ``(first, second, c, weight)``.
-
-    Row r of parity_blocks' basis is e_r for a state the involution fixes
-    and ``(e_a +- sign[a] e_b)/sqrt2`` for a pair a < b: it combines states
-    first[r] and second[r] with the factor c[r] on the second (0 for a fixed
-    state), and weight[r] is 2 for a pair's row and 1 for a fixed one.
-    """
-    k = np.arange(perm.size)
-    first, second = np.minimum(k, perm), np.maximum(k, perm)
-    c = np.where(perm == k, 0.0, np.where(perm > k, 1.0, -1.0) * sign[first])
-    return first, second, c, np.where(perm == k, 1.0, 2.0)
-
-
-def _in_parity_basis(op, rotation) -> np.ndarray:
-    """``basis @ op @ basis.T`` for parity_blocks' basis, as signed half-sums.
-
-    Each entry is an entry of op, ``(op[k, a] +- op[k, b])/sqrt2`` with one
-    index fixed, or ``(op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2``
-    with none.  A multiple of the identity stays exact, and no dim^3
-    product is taken.
-    """
-    first, second, c, weight = rotation
-    rows = op[first] + c[:, None] * op[second]
-    sums = rows[:, first] + c * rows[:, second]
-    # sqrt is correctly rounded: the divisors are exactly 1, sqrt2 and 2.
-    return sums / np.sqrt(np.outer(weight, weight))
+        perm, diag, off, weight = self.rotation
+        rows = diag[:, None] * op + off[:, None] * op[perm]
+        sums = rows * diag + off * rows[:, perm]
+        # sqrt is correctly rounded: the divisors are exactly 1, sqrt2 and 2.
+        return sums / np.sqrt(np.outer(weight, weight))
 
 
 def parity_frame(h, collapse_ops, symmetry) -> Frame:
@@ -457,11 +426,11 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     Where symmetry, a signed basis involution ``(perm, sign)`` as in
     :func:`parity_blocks`, holds on the operators (``U h U^dag = h``, and
     ``U . U^dag`` maps the collapse operators one-to-one onto +-themselves):
-    its parity basis, the (even, odd) coordinate blocks and h, less its
-    trace part, rotated into that basis.  Otherwise, symmetry None included:
-    no basis, one block of every coordinate and h as it is.
-    The collapse operators are only checked; ``Frame.rotate`` takes each
-    into the frame.  A model runs this at each read of
+    the rotation of its parity basis, the (even, odd) coordinate blocks and
+    h, less its trace part, rotated into that basis.  Otherwise, symmetry
+    None included: no rotation, one block of every coordinate and h as it
+    is.  The collapse operators are only checked; ``Frame.rotate`` takes
+    each into the frame, and a state back out of it.  A model runs this at each read of
     MasterEquationSpec.frame, a RateFamily once for all its points: they
     share its Hamiltonian, and each collapse operator and its image under
     the exchange parity share one rate factor, so every point passes or
@@ -470,12 +439,12 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     dim = h.shape[0]
 
     def whole():
-        return Frame(None, h, (np.arange(dim**2),), None)
+        return Frame(h, (np.arange(dim**2),), None)
 
     if symmetry is None:
         return whole()
     perm, sign = symmetry
-    basis, even, odd = parity_blocks(perm, sign)
+    rotation, even, odd = parity_blocks(perm, sign)
     signs = np.outer(sign, sign)
 
     def image(op):
@@ -503,8 +472,8 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     # diag(1 + eps, 1 - eps) is diag(1, 1) in double precision, but
     # diag(eps, -eps) is exact.
     traceless = h - np.trace(h).real / dim * np.eye(dim)
-    rotation = _parity_rotation(perm, sign)
-    return Frame(basis, _in_parity_basis(traceless, rotation), (even, odd), rotation)
+    frame = Frame(traceless, (even, odd), rotation)
+    return replace(frame, hamiltonian=frame.rotate(traceless))
 
 
 @dataclass(frozen=True)

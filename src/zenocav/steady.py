@@ -16,13 +16,15 @@ sparse straight from the operators, with no complex generator (at
 n_max = 10 it would take 1.5 GB), and SuperLU factors them in its symmetric
 mode, their pattern being nearly symmetric, refining every solve once.  The
 eigendecompositions take the sparse blocks made dense at every size.  The
-frame (the symmetry check, the basis and blocks and the rotated
+frame (the symmetry check, the rotation and blocks and the rotated
 Hamiltonian) is the one the model carries, MasterEquationSpec.frame: found
 once for every point of a RateFamily, and at each solve for any other
-model; a solve rotates only its own collapse operators into it.  A reciprocal-condition estimate on the factorizations
-flags degenerate generators without paying for an eigendecomposition at
-every call; the residual is always checked in operator form on the model's
-own Hamiltonian and collapse operators.  Every threaded BLAS or LAPACK call
+model; a solve rotates only its own collapse operators into it, and the
+state back out of it by the same signed half-sums (Frame.rotate: the
+parity basis is its own inverse).  A reciprocal-condition estimate on the
+factorizations flags degenerate generators without paying for an
+eigendecomposition at every call; the residual is always checked in
+operator form on the model's own Hamiltonian and collapse operators.  Every threaded BLAS or LAPACK call
 in the package goes through scipy, on one OpenBLAS runtime: pip-installed
 numpy and scipy each load their own, and a threaded numpy call between two
 solves, or between a solve and an evolution, would wake numpy's worker
@@ -109,8 +111,10 @@ class SteadyStateResult:
     is the smallest of the blocks' 1-norm reciprocal condition estimates in
     real Hermitian coordinates, not that of the complex generator: LAPACK's
     gecon on a dense LU, and 1/(||E||_1 onenormest(E^-1)) on a sparse one,
-    E the block; on two OpenBLAS threads it can differ in the last bit
-    between processes while rho does not.  blocks holds the sizes of the
+    E the block.  It has been seen to differ in its last bits between
+    processes, on one OpenBLAS thread as on two, while rho did not, and to
+    move by 4e-16 relative when the parity basis flipped the signs of some
+    rows of a block; do not compare runs by it.  blocks holds the sizes of the
     systems built and factored: ``(even, odd)`` when the model's symmetry
     split the generator, ``(dim**2,)`` otherwise.
     """
@@ -374,7 +378,7 @@ def steady_state(me: MasterEquationSpec) -> SteadyStateResult:
         even = factors[0][0](rhs)
     x = np.zeros(me.dim**2)
     x[blocks[0]] = even
-    rho = frame.rotate_back(from_hermitian(x))
+    rho = frame.rotate(from_hermitian(x))
 
     rho, clip_magnitude = _repair_positivity(rho)
     residual = _residual(me.hamiltonian, me.collapse_ops, rho)

@@ -28,6 +28,7 @@ from zenocav import (
     resolve_config,
     steady_state,
 )
+from zenocav.cli import main
 from zenocav.steady import nullspace_dimension
 
 from conftest import TRANSFER_MIXTURE, compare_trajectories
@@ -51,6 +52,80 @@ CLAIMED_FIDELITIES = {
     ("microresonator", "t2"): 0.9977,
     ("high_finesse", "S"): 0.9918,
     ("high_finesse", "t2"): 0.9919,
+}
+
+# Every physics value criteria 2-7 print, as they print it.  The tests above
+# assert only the claims' tolerances, so a change that moved a printed digit
+# would still pass them.  Rounding-level diagnostics (criterion 3's
+# |rho - target|, criterion 7's residual and deviation, criterion 8) keep
+# their bounds and are not recorded.
+RECORDED_VALUES = {
+    "2: P_S full": "0.9925",
+    "2: P_S reduced": "0.9980",
+    "2: curve deviation": "0.0055",
+    "3: nullspace dimension": "4",
+    "4: P_S omega=0.05": "0.9642",
+    "4: P_S omega=0.1": "0.9123",
+    "4: P_S omega=0.2": "0.7703",
+    "5: P_S weak point": "0.9563",
+    "5: optimum C=79": "0.9815",
+    "5: optimum C=36": "0.9612",
+    "5: optimum C=23": "0.9418",
+    "5: optimum C=16": "0.9203",
+    "5: optimum C=12.2": "0.9003",
+    "6: fabry_perot/S": "99.66%",
+    "6: fabry_perot/t2": "99.77%",
+    "6: microresonator/S": "99.71%",
+    "6: microresonator/t2": "99.77%",
+    "6: high_finesse/S": "99.18%",
+    "6: high_finesse/t2": "99.19%",
+    "7: overlay deviation": "0.0064",
+}
+
+# The physics lines the CLI prints for the bundled presets: steady's
+# populations and fidelities, and derive's clusters and subspace.  derive's
+# +0.000 is a cluster at 2.6e-18, so a rounding-level change can print it
+# as -0.000; no other recorded value lies within 1e-10 of a rounding
+# boundary (the nearest, preset2's F_g11, 3.9e-10).
+RECORDED_CLI_LINES = {
+    "steady preset1": (
+        "P_S = 0.993146   F_S = 0.996567",
+        "P_T = 0.001797   F_T = 0.042392",
+        "P_D = 0.001649   F_D = 0.040604",
+        "P_t2 = 0.167081   F_t2 = 0.408755",
+        "P_g00 = 0.000664   F_g00 = 0.025768",
+        "P_g01 = 0.497472   F_g01 = 0.705317",
+        "P_g10 = 0.497472   F_g10 = 0.705317",
+        "P_g11 = 0.002694   F_g11 = 0.051905",
+    ),
+    "steady preset2": (
+        "P_S = 0.994260   F_S = 0.997126",
+        "P_T = 0.001555   F_T = 0.039436",
+        "P_D = 0.000989   F_D = 0.031448",
+        "P_t2 = 0.167101   F_t2 = 0.408780",
+        "P_g00 = 0.000874   F_g00 = 0.029571",
+        "P_g01 = 0.497907   F_g01 = 0.705626",
+        "P_g10 = 0.497907   F_g10 = 0.705626",
+        "P_g11 = 0.002272   F_g11 = 0.047663",
+    ),
+    "steady preset3": (
+        "P_S = 0.983739   F_S = 0.991836",
+        "P_T = 0.004768   F_T = 0.069052",
+        "P_D = 0.000304   F_D = 0.017435",
+        "P_t2 = 0.168514   F_t2 = 0.410504",
+        "P_g00 = 0.004539   F_g00 = 0.067373",
+        "P_g01 = 0.494253   F_g01 = 0.703032",
+        "P_g10 = 0.494253   F_g10 = 0.703032",
+        "P_g11 = 0.006600   F_g11 = 0.081240",
+    ),
+    "derive fig3": (
+        "clusters: 9 (eigenvalues -2.449, -2.000, -1.414, -1.000, +0.000, +1.000, +1.414, +2.000, +2.449)",
+        "projected subspace dimension: 5 with basis 00, T, S, 11, D",
+    ),
+    "derive fig4c": (
+        "clusters: 9 (eigenvalues -2.449, -2.000, -1.414, -1.000, +0.000, +1.000, +1.414, +2.000, +2.449)",
+        "projected subspace dimension: 5 with basis 00, 01, 10, 11, D",
+    ),
 }
 
 # Eigenvalues this small are rounding on a density matrix of trace 1;
@@ -336,3 +411,52 @@ def test_criterion_8_physical_invariants(
         f"min eigenvalue {eigenvalue}, steady residual {residual:.1e}, "
         f"truncation shift {truncation_shift:.1e}",
     )
+
+
+# -- recorded values ------------------------------------------------------------------
+
+
+def test_criteria_print_the_recorded_values(
+    transfer_runs,
+    drive_strength_runs,
+    ancilla_runs,
+    platform_steadies,
+    weak_point_steady,
+    iso_optima,
+):
+    # Formatted as criteria 2-7 format them, from the runs they share.
+    degenerate = build_model(replace(transfer_point(Variant.BELL_EFFECTIVE), delta=0.0))
+    printed = {
+        "2: P_S full": f"{transfer_runs['full'].value('P_S'):.4f}",
+        "2: P_S reduced": f"{transfer_runs['reduced'].value('P_S'):.4f}",
+        "2: curve deviation": (
+            f"{compare_trajectories(transfer_runs['full'], transfer_runs['reduced'], 'P_S'):.4f}"
+        ),
+        "3: nullspace dimension": str(nullspace_dimension(degenerate)),
+        **{
+            f"4: P_S omega={omega:g}": f"{run.value('P_S'):.4f}"
+            for omega, run in drive_strength_runs.items()
+        },
+        "5: P_S weak point": f"{weak_point_steady['population']:.4f}",
+        **{
+            f"5: optimum C={c:g}": f"{optimum.population:.4f}"
+            for optimum, (c, _) in zip(iso_optima, CLAIMED_OPTIMA)
+        },
+        **{
+            f"6: {entry['name']}/{entry['label']}": f"{100 * entry['fidelity']:.2f}%"
+            for entry in platform_steadies
+        },
+        "7: overlay deviation": (
+            f"{compare_trajectories(ancilla_runs['full'], ancilla_runs['reduced'], 'P_t2'):.4f}"
+        ),
+    }
+    assert printed == RECORDED_VALUES
+
+
+@pytest.mark.parametrize("command", list(RECORDED_CLI_LINES))
+def test_cli_prints_the_recorded_values(capsys, command):
+    assert main(command.split()) == 0
+    recorded = RECORDED_CLI_LINES[command]
+    heads = tuple({line.split(" ", 1)[0] for line in recorded})
+    lines = capsys.readouterr().out.splitlines()
+    assert tuple(line for line in lines if line.startswith(heads)) == recorded

@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import pytest
 
+import zenocav
 from zenocav.cli import main
+from zenocav.dynamics import MAX_RECORD_BYTES
 from zenocav.zeno import DerivationComparison
 
 
@@ -147,6 +153,36 @@ def test_evolve_rejects_bad_run_overrides(tmp_path, capsys, assignment, message)
     # Checked where the value is parsed, as a file's is; no output is written.
     assert main(["evolve", "fig1c", "--set", assignment, "-o", "out.csv"]) == 2
     assert message in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+# fig1c records four observables, so a run may take MAX_RECORD_BYTES // 40
+# samples; t_end of that many units of dt, one sample a unit, asks for one
+# more.
+RECORD_CAP = MAX_RECORD_BYTES // (8 * (1 + 4))
+
+
+@pytest.mark.parametrize(
+    "t_end, dt, stride, samples",
+    [
+        ("1", "1e-300", "500", "2e+297"),
+        ("1e300", "5e-324", "500", "inf"),
+        (str(RECORD_CAP), "1", "1", str(RECORD_CAP + 1)),
+    ],
+    ids=["tiny-dt", "ratio-overflows", "one-past-the-cap"],
+)
+def test_evolve_rejects_a_schedule_too_long_to_record(tmp_path, capsys, t_end, dt, stride, samples):
+    # Each value alone is valid; the schedule is checked before anything is
+    # built, so no run starts and no output is written.
+    argv = ["evolve", "fig1c", "-o", "out.csv"]
+    for assignment in (f"t_end={t_end}", f"dt={dt}", f"sample_stride={stride}"):
+        argv += ["--set", assignment]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert (
+        f"t_end={float(t_end)!r}, dt={float(dt)!r} and sample_stride={stride} give "
+        f"{samples} samples; evolve records at most {RECORD_CAP} of 4 observables"
+    ) in err
     assert list(tmp_path.iterdir()) == []
 
 
@@ -374,3 +410,14 @@ def test_unknown_command_exits_via_argparse():
     with pytest.raises(SystemExit) as excinfo:
         main(["transmogrify", "fig3"])
     assert excinfo.value.code == 2
+
+
+def test_cli_module_runs_as_a_script():
+    # python -m zenocav.cli runs the same entry point as the console script.
+    env = dict(os.environ, PYTHONPATH=str(Path(zenocav.__file__).parents[1]))
+    done = subprocess.run(
+        [sys.executable, "-m", "zenocav.cli", "derive", "fig3"],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert "projected subspace dimension: 5" in done.stdout

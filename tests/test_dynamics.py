@@ -150,9 +150,9 @@ def test_evolve_builds_no_complex_generator(monkeypatch, preset):
         # exp(M) (its Taylor products are sparse), 15 baby-step rows, 4
         # squarings for P^16 and the grid (gemm), and one state product
         # (gemv) for each of the 8 lead strides and the 2 giant steps;
-        # fig1c has two blocks, and its final state takes two products back
-        # out of the parity basis.
-        pytest.param("fig1c", 40.0, 500, {"gemm": 53, "gemv": 20}, id="fig1c"),
+        # fig1c has two blocks, and its final state leaves the parity basis
+        # by half-sums, with no product.
+        pytest.param("fig1c", 40.0, 500, {"gemm": 51, "gemv": 20}, id="fig1c"),
         # The 5 L^dag L; one block: the stride propagator exp(1.4 M) (4
         # squarings), 15 rows, P^16 (4) and the grid; 12 lead strides and 1
         # giant step; then the rest and the remainder interval act on the

@@ -437,17 +437,23 @@ def test_hermitian_blocks_refuses_what_it_cannot_build_in_place(rng):
     ],
 )
 def test_parity_blocks_diagonalize_the_symmetry(rng, perm, sign):
-    # In the parity basis U . U^dag keeps every even coordinate and negates
-    # every odd one.
+    # The basis, built here row by row from the rotation, is symmetric and
+    # its own inverse; in it U . U^dag keeps every even coordinate and
+    # negates every odd one.
     dim = len(perm)
-    basis, even, odd = parity_blocks(perm, sign)
+    (perm_r, diag, off, weight), even, odd = parity_blocks(perm, sign)
+    basis = np.zeros((dim, dim))
+    for r in range(dim):
+        basis[r, r] += diag[r] / np.sqrt(weight[r])
+        basis[r, perm_r[r]] += off[r] / np.sqrt(weight[r])
     u = signed_permutation(perm, sign)
-    assert np.allclose(basis @ basis.T, np.eye(dim), atol=1e-15)
+    assert np.array_equal(basis, basis.T)
+    assert np.allclose(basis @ basis, np.eye(dim), atol=1e-15)
     assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(dim**2))
     assert np.array_equal(even[:dim], np.arange(dim))
     rho = random_density_matrix(rng, dim)
-    before = to_hermitian(basis @ rho @ basis.T)
-    after = to_hermitian(basis @ (u @ rho @ u.T) @ basis.T)
+    before = to_hermitian(basis @ rho @ basis)
+    after = to_hermitian(basis @ (u @ rho @ u.T) @ basis)
     assert np.max(np.abs(after[even] - before[even])) <= 1e-15
     assert np.max(np.abs(after[odd] + before[odd])) <= 1e-15
 
@@ -472,15 +478,15 @@ def test_parity_blocks_reject_non_involutions(perm, sign):
 
 @given(symmetric_open_systems(), st.integers(0, 2**32 - 1))
 def test_frames_rotate_back(me, seed):
-    # The one-block frame is the model's own basis: it carries no basis
-    # matrix, and both of its rotations hand back what they are given.  A
-    # parity frame's back rotation undoes its rotation.
+    # The one-block frame is the model's own basis: its rotation hands back
+    # what it is given.  A parity frame's basis is its own inverse, so
+    # rotating twice brings op back.
     op = random_density_matrix(np.random.default_rng(seed), me.dim)
     whole = parity_frame(me.hamiltonian, me.collapse_ops, None)
-    assert whole.basis is None
-    assert whole.rotate(op) is op and whole.rotate_back(op) is op
+    assert whole.rotation is None
+    assert whole.rotate(op) is op
     frame = parity_frame(me.hamiltonian, me.collapse_ops, me.symmetry)
-    assert np.max(np.abs(frame.rotate_back(frame.rotate(op)) - op)) <= 1e-15
+    assert np.max(np.abs(frame.rotate(frame.rotate(op)) - op)) <= 1e-15
 
 
 # -- validate_density_matrix -----------------------------------------------------

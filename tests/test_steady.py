@@ -326,9 +326,8 @@ def test_solve_calls_no_numpy_lapack(monkeypatch, me, run, expected):
 def test_solve_products_run_on_scipy_blas(monkeypatch):
     # At dim 72 (n_max = 7) numpy threads its complex products and would
     # wake its own OpenBLAS workers between scipy's factorizations.  Every
-    # product of the rotation back out of the parity basis, the positivity
-    # repair and the residual is a scipy gemm instead: np.matmul is
-    # poisoned, and the count shows that no @ is left.
+    # product of the positivity repair and the residual is a scipy gemm
+    # instead: np.matmul is poisoned, and the count shows that no @ is left.
     me = full_model("preset1", "bell_full", 7)
 
     def poisoned(*args, **kwargs):
@@ -340,10 +339,10 @@ def test_solve_products_run_on_scipy_blas(monkeypatch):
     result = steady_state(me)
     assert result.blocks == (2592, 2592)
     # The assembly takes one L^dag L for each of the five collapse
-    # operators, two products rotate back, one rebuilds the state from its
-    # clipped eigenvalues, and the residual takes two for the Hamiltonian
-    # and five for each collapse operator.
-    assert seen == {"gemm": 5 + 2 + int(result.clip_magnitude > 0) + 2 + 5 * 5}
+    # operators, one rebuilds the state from its clipped eigenvalues, and the
+    # residual takes two for the Hamiltonian and five for each collapse
+    # operator; the rotation back out of the parity basis takes none.
+    assert seen == {"gemm": 5 + int(result.clip_magnitude > 0) + 2 + 5 * 5}
 
 
 @pytest.mark.parametrize(
