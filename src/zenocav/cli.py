@@ -92,8 +92,6 @@ def cmd_evolve(args) -> int:
     params = config.params
     rho0 = initial_density_matrix(run.initial_state, params)
     try:
-        # The run values are each valid; evolve refuses a schedule of them
-        # too long to record.
         traj = evolve(
             me,
             rho0,
@@ -102,7 +100,7 @@ def cmd_evolve(args) -> int:
             _observables(params),
             sample_stride=run.sample_stride,
         )
-    except ValueError as exc:
+    except ValueError as exc:  # a schedule too long to record
         raise ConfigError(str(exc), config.origin) from None
     out = _default_output(args, "_trajectory.csv")
     traj.to_csv(out)

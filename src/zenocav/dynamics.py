@@ -75,11 +75,9 @@ TAYLOR_THETA = 1.09
 # and more above, where the squarings dominate.
 BABY_STEPS = 16
 # evolve refuses a schedule whose times and records, 8 bytes a value, would
-# take more than this: at most 1,677,721 samples of the CLI's four
-# observables.  The schedule is checked before anything is built.  The
-# propagation holds more besides, its giant-step states (n/BABY_STEPS
-# doubles a sample, n the block's coordinate count): about nine times the
-# records at fig4c.
+# take more than this (1,677,721 samples of the CLI's four observables); its
+# giant-step states take n/BABY_STEPS doubles a sample besides, n the
+# block's coordinate count: about nine times the records at fig4c.
 MAX_RECORD_BYTES = 2**26
 
 
@@ -254,9 +252,9 @@ def evolve(
     The state is propagated in real Hermitian coordinates, so every record
     is real, and in the parity basis of the model's symmetry when that holds
     on its operators, one block of coordinates at a time; the final state is
-    rotated back by the same signed half-sums (Frame.rotate).  The frame is
-    the one me carries (see MasterEquationSpec.frame); only the collapse
-    operators, the observables and the initial state are rotated here.  Each block's generator is
+    rotated back.  The frame is the one me carries (see
+    MasterEquationSpec.frame); only the collapse operators, the observables
+    and the initial state are rotated here.  Each block's generator is
     assembled sparse from the operators, and no complex generator is built
     (see operators.sparse_hermitian_blocks).  Its propagator over one stride
     is a scaled Taylor exponential (see _exponential), and the samples one

@@ -402,14 +402,14 @@ class Frame:
     rotation: tuple | None
 
     def rotate(self, op) -> np.ndarray:
-        """``B op B`` for the frame's parity basis B, as signed half-sums: op in the frame.
+        """``B op B`` for the frame's parity basis B, by signed half-sums.
 
-        B is its own inverse, so the same call takes an operator in the
-        frame back into the model's basis; the one-block frame hands op back
-        as it is.  Each entry is an entry of op, ``(+-op[k, a] +- op[k, b])/sqrt2``
-        with one index fixed, or ``(+-op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2``
-        with none.  A multiple of the identity stays exact, and no dim^3
-        product is taken.
+        B is its own inverse, so this takes op into the frame, and an
+        operator in the frame back out of it; the one-block frame hands op
+        back as it is.  Each entry is an entry of op,
+        ``(+-op[k, a] +- op[k, b])/sqrt2`` with one index fixed, or
+        ``(+-op[a, c] +- op[a, d] +- op[b, c] +- op[b, d])/2`` with none.
+        A multiple of the identity stays exact, and no dim^3 product is taken.
         """
         if self.rotation is None:
             return op
@@ -430,11 +430,11 @@ def parity_frame(h, collapse_ops, symmetry) -> Frame:
     h, less its trace part, rotated into that basis.  Otherwise, symmetry
     None included: no rotation, one block of every coordinate and h as it
     is.  The collapse operators are only checked; ``Frame.rotate`` takes
-    each into the frame, and a state back out of it.  A model runs this at each read of
-    MasterEquationSpec.frame, a RateFamily once for all its points: they
-    share its Hamiltonian, and each collapse operator and its image under
-    the exchange parity share one rate factor, so every point passes or
-    fails as the family does.
+    each into the frame, and a state back out of it.  A model runs this at
+    each read of MasterEquationSpec.frame, a RateFamily once for all its
+    points: they share its Hamiltonian, and each collapse operator and its
+    image under the exchange parity share one rate factor, so every point
+    passes or fails as the family does.
     """
     dim = h.shape[0]
 

@@ -20,19 +20,19 @@ frame (the symmetry check, the rotation and blocks and the rotated
 Hamiltonian) is the one the model carries, MasterEquationSpec.frame: found
 once for every point of a RateFamily, and at each solve for any other
 model; a solve rotates only its own collapse operators into it, and the
-state back out of it by the same signed half-sums (Frame.rotate: the
-parity basis is its own inverse).  A reciprocal-condition estimate on the
-factorizations flags degenerate generators without paying for an
+state out of it by the same Frame.rotate.  A reciprocal-condition estimate
+on the factorizations flags degenerate generators without paying for an
 eigendecomposition at every call; the residual is always checked in
-operator form on the model's own Hamiltonian and collapse operators.  Every threaded BLAS or LAPACK call
-in the package goes through scipy, on one OpenBLAS runtime: pip-installed
-numpy and scipy each load their own, and a threaded numpy call between two
-solves, or between a solve and an evolution, would wake numpy's worker
-threads, which then spin on the cores the next LU or product needs.  Here
-that is the LU, its condition estimate and the eigendecompositions, through
-scipy.linalg, and the operator products of the positivity repair and the
-residual, through operators.blas_matmul; numpy starts threading complex
-products at about dim 45.
+operator form on the model's own Hamiltonian and collapse operators.  Every
+threaded BLAS or LAPACK call in the package goes through scipy, on one
+OpenBLAS runtime: pip-installed numpy and scipy each load their own, and a
+threaded numpy call between two solves, or between a solve and an
+evolution, would wake numpy's worker threads, which then spin on the cores
+the next LU or product needs.  Here that is the LU, its condition
+estimate and the eigendecompositions, through scipy.linalg, and the
+operator products of the positivity repair and the residual, through
+operators.blas_matmul; numpy starts threading complex products at about
+dim 45.
 """
 
 from __future__ import annotations
@@ -111,12 +111,11 @@ class SteadyStateResult:
     is the smallest of the blocks' 1-norm reciprocal condition estimates in
     real Hermitian coordinates, not that of the complex generator: LAPACK's
     gecon on a dense LU, and 1/(||E||_1 onenormest(E^-1)) on a sparse one,
-    E the block.  It has been seen to differ in its last bits between
-    processes, on one OpenBLAS thread as on two, while rho did not, and to
-    move by 4e-16 relative when the parity basis flipped the signs of some
-    rows of a block; do not compare runs by it.  blocks holds the sizes of the
-    systems built and factored: ``(even, odd)`` when the model's symmetry
-    split the generator, ``(dim**2,)`` otherwise.
+    E the block; it has differed in its last bits between processes, on one
+    OpenBLAS thread as on two, while rho did not, so do not compare runs by
+    it.  blocks holds the sizes of the systems built and factored:
+    ``(even, odd)`` when the model's symmetry split the generator,
+    ``(dim**2,)`` otherwise.
     """
 
     rho: np.ndarray

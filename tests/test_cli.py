@@ -171,7 +171,9 @@ RECORD_CAP = MAX_RECORD_BYTES // (8 * (1 + 4))
     ],
     ids=["tiny-dt", "ratio-overflows", "one-past-the-cap"],
 )
-def test_evolve_rejects_a_schedule_too_long_to_record(tmp_path, capsys, t_end, dt, stride, samples):
+def test_evolve_rejects_a_schedule_too_long_to_record(
+    tmp_path, capsys, t_end, dt, stride, samples
+):
     # Each value alone is valid; the schedule is checked before anything is
     # built, so no run starts and no output is written.
     argv = ["evolve", "fig1c", "-o", "out.csv"]

@@ -16,6 +16,7 @@ from zenocav import (
 )
 from zenocav.models import Variant
 from zenocav.operators import (
+    Frame,
     devectorize,
     expectation,
     from_hermitian,
@@ -438,10 +439,11 @@ def test_hermitian_blocks_refuses_what_it_cannot_build_in_place(rng):
 )
 def test_parity_blocks_diagonalize_the_symmetry(rng, perm, sign):
     # The basis, built here row by row from the rotation, is symmetric and
-    # its own inverse; in it U . U^dag keeps every even coordinate and
-    # negates every odd one.
+    # its own inverse, and Frame.rotate applies it; in it U . U^dag keeps
+    # every even coordinate and negates every odd one.
     dim = len(perm)
-    (perm_r, diag, off, weight), even, odd = parity_blocks(perm, sign)
+    rotation, even, odd = parity_blocks(perm, sign)
+    perm_r, diag, off, weight = rotation
     basis = np.zeros((dim, dim))
     for r in range(dim):
         basis[r, r] += diag[r] / np.sqrt(weight[r])
@@ -452,6 +454,8 @@ def test_parity_blocks_diagonalize_the_symmetry(rng, perm, sign):
     assert np.array_equal(np.sort(np.concatenate([even, odd])), np.arange(dim**2))
     assert np.array_equal(even[:dim], np.arange(dim))
     rho = random_density_matrix(rng, dim)
+    rotated = Frame(rho, (even, odd), rotation).rotate(rho)
+    assert np.max(np.abs(rotated - basis @ rho @ basis)) <= 1e-15
     before = to_hermitian(basis @ rho @ basis)
     after = to_hermitian(basis @ (u @ rho @ u.T) @ basis)
     assert np.max(np.abs(after[even] - before[even])) <= 1e-15
